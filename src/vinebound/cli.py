@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+import traceback
 
 from .bounds import (
     BoundReport,
@@ -41,7 +42,14 @@ from .families import (
     random_two_connected,
 )
 from .graphs import parse_graph, serialize_graph
-from .solvers import SolveLimits, longest_cycle, longest_cycle_oracle, longest_path, longest_path_oracle
+from .solvers import (
+    ORACLE_MAX_VERTICES,
+    SolveLimits,
+    longest_cycle,
+    longest_cycle_oracle,
+    longest_path,
+    longest_path_oracle,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -52,11 +60,7 @@ SCHEMA_VERSION = "1"
 
 
 def _limits_from_args(args) -> SolveLimits:
-    return SolveLimits(
-        max_vertices=16,
-        node_budget=args.node_budget,
-        time_budget=args.time_budget,
-    )
+    return SolveLimits(node_budget=args.node_budget, time_budget=args.time_budget)
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -370,9 +374,9 @@ def cmd_oracle_check(args) -> int:
     if args.count < 1:
         raise PreconditionError(f"count must be at least 1, got {args.count}")
     limits = _limits_from_args(args)
-    if not 3 <= args.nmax <= limits.max_vertices:
+    if not 3 <= args.nmax <= ORACLE_MAX_VERTICES:
         raise PreconditionError(
-            f"nmax must lie in [3, {limits.max_vertices}] for the oracle, got {args.nmax}"
+            f"nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
         )
     master = random.Random(args.seed)
     instances = []
@@ -446,6 +450,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        # Python's stack or the heap ran out: a limit of this run, not a verdict.
+        print(f"resource limit: {traceback.format_exception_only(exc)[-1].strip()}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalInvariantError as exc:
         print(f"internal invariant failed (bug or counterexample candidate): {exc}", file=sys.stderr)

@@ -2,10 +2,14 @@
 
 Two independent method families live here on purpose:
 
-* ``longest_path`` / ``longest_cycle`` run a two-phase depth-first branch
-  and bound. Phase one certifies the optimal length; phase two re-searches
-  in lexicographic order and stops at the first witness of that length,
-  which pins the deterministic tie-break contract exactly.
+* ``longest_path`` / ``longest_cycle`` run one depth-first branch and
+  bound each, on explicit stacks, and return the first strict improvement
+  to the optimal length: that incumbent is the pinned witness. Starting
+  from increasing vertices over sorted adjacency visits vertex sequences
+  in lexicographic order, and the ``<= best`` prune never cuts an ancestor
+  of the lexicographically first optimal sequence, because the best length
+  stays below the optimum until that sequence is reached. Its reverse has
+  the same length and so cannot come earlier: it is orientation-normalized.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are bitmask dynamic
   programs over (vertex subset, endpoint) states. They share no code with
   the search and return lengths only; they exist to cross-check it.
@@ -32,16 +36,17 @@ from .graphs import (
 class SolveLimits:
     """Resource caps for one exact solve."""
 
-    max_vertices: int = 16
     node_budget: int = 50_000_000
     time_budget: float = 60.0
 
     def __post_init__(self):
-        if self.max_vertices <= 0 or self.node_budget <= 0 or self.time_budget <= 0:
+        if self.node_budget <= 0 or self.time_budget <= 0:
             raise PreconditionError("all solve limits must be positive")
 
 
 DEFAULT_LIMITS = SolveLimits()
+
+ORACLE_MAX_VERTICES = 16
 
 
 class _BudgetHit(Exception):
@@ -49,7 +54,7 @@ class _BudgetHit(Exception):
 
 
 class _Budget:
-    """Node/time accounting shared by both phases of one solve."""
+    """Node/time accounting of one solve."""
 
     __slots__ = ("nodes", "limit", "deadline")
 
@@ -94,60 +99,47 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
     if not is_connected(g):
         raise PreconditionError("longest_path requires a connected graph")
     adj = g.adjacency_bits
-    nbrs = g.neighbors
     budget = _Budget(limits)
     best_len = 0
-    best_seq: list[int] = [0]
-    stack: list[int] = []
-
-    def grow(v: int, visited: int, length: int) -> None:
-        nonlocal best_len, best_seq
-        budget.spend()
-        if length > best_len:
-            best_len = length
-            best_seq = stack.copy()
-        if length + _reachable_from(adj, v, visited).bit_count() <= best_len:
-            return
-        for w in nbrs[v]:
-            if not visited >> w & 1:
-                stack.append(w)
-                grow(w, visited | 1 << w, length + 1)
-                stack.pop()
-
-    witness: list[int] | None = None
-
-    def refind(v: int, visited: int, length: int) -> bool:
-        nonlocal witness
-        budget.spend()
-        if length == best_len:
-            witness = stack.copy()
-            return True
-        if length + _reachable_from(adj, v, visited).bit_count() < best_len:
-            return False
-        for w in nbrs[v]:
-            if not visited >> w & 1:
-                stack.append(w)
-                if refind(w, visited | 1 << w, length + 1):
-                    return True
-                stack.pop()
-        return False
-
+    best_seq = [0]
+    # One frame per vertex of seq, plus a bottom frame whose candidates are
+    # the start vertices: todo holds the bitmask of neighbours still to try,
+    # taken lowest first, and masks the vertices visited up to that frame.
+    seq: list[int] = []
+    todo = [(1 << g.n) - 1]
+    masks = [0]
     try:
-        for s in range(g.n):
-            stack[:] = [s]
-            grow(s, 1 << s, 0)
-        for s in range(g.n):
-            stack[:] = [s]
-            if refind(s, 1 << s, 0):
-                break
+        while todo:
+            cand = todo[-1]
+            if not cand:
+                todo.pop()
+                masks.pop()
+                if seq:
+                    seq.pop()
+                continue
+            low = cand & -cand
+            todo[-1] = cand ^ low
+            budget.spend()
+            v = low.bit_length() - 1
+            visited = masks[-1] | low
+            seq.append(v)
+            length = len(seq) - 1
+            # strict, so the first optimal sequence found, the pinned
+            # witness, is the one kept
+            if length > best_len:
+                best_len = length
+                best_seq = seq.copy()
+            if length + _reachable_from(adj, v, visited).bit_count() <= best_len:
+                seq.pop()
+                continue
+            todo.append(adj[v] & ~visited)
+            masks.append(visited)
     except _BudgetHit as hit:
         raise SolveBudgetError(
             f"longest_path: {hit}; best non-optimal path has length {best_len}",
             incumbent=validate_path(g, best_seq),
         ) from None
-    if witness is None:
-        raise InternalInvariantError("longest_path: certified length has no witness")
-    return validate_path(g, witness)
+    return validate_path(g, best_seq)
 
 
 def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
@@ -160,78 +152,55 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
     if failure is not None:
         raise PreconditionError(f"longest_cycle requires a 2-connected graph: {failure}")
     adj = g.adjacency_bits
-    nbrs = g.neighbors
     budget = _Budget(limits)
     best_len = 0
     best_seq: list[int] | None = None
-    stack: list[int] = []
-
-    def grow(root: int, rootbit: int, blocked_low: int, v: int, visited: int, count: int) -> None:
-        nonlocal best_len, best_seq
-        budget.spend()
-        if count >= 3 and adj[v] & rootbit and count > best_len:
-            best_len = count
-            best_seq = stack.copy()
-        reach = _reachable_from(adj, v, visited | blocked_low)
-        if count + reach.bit_count() <= best_len:
-            return
-        if not adj[root] & reach:
-            return
-        for w in nbrs[v]:
-            if w > root and not visited >> w & 1:
-                stack.append(w)
-                grow(root, rootbit, blocked_low, w, visited | 1 << w, count + 1)
-                stack.pop()
-
-    witness: list[int] | None = None
-
-    def refind(root: int, rootbit: int, blocked_low: int, v: int, visited: int, count: int) -> bool:
-        nonlocal witness
-        budget.spend()
-        if count == best_len:
-            if adj[v] & rootbit:
-                witness = stack.copy()
-                return True
-            return False
-        reach = _reachable_from(adj, v, visited | blocked_low)
-        if count + reach.bit_count() < best_len:
-            return False
-        if not adj[root] & reach:
-            return False
-        for w in nbrs[v]:
-            if w > root and not visited >> w & 1:
-                stack.append(w)
-                if refind(root, rootbit, blocked_low, w, visited | 1 << w, count + 1):
-                    return True
-                stack.pop()
-        return False
-
     try:
         for root in range(g.n - 2):
             rootbit = 1 << root
-            blocked_low = rootbit - 1
-            stack[:] = [root]
-            grow(root, rootbit, blocked_low, root, rootbit, 1)
-        if best_seq is None:
-            raise InternalInvariantError("longest_cycle: no cycle found in a 2-connected graph")
-        for root in range(g.n - 2):
-            rootbit = 1 << root
-            blocked_low = rootbit - 1
-            stack[:] = [root]
-            if refind(root, rootbit, blocked_low, root, rootbit, 1):
-                break
+            root_adj = adj[root]
+            # Frames as in longest_path; the bottom frame holds the root
+            # alone, and every mask blocks the vertices below the root, so
+            # each cycle is found from its smallest vertex only.
+            seq: list[int] = []
+            todo = [rootbit]
+            masks = [rootbit - 1]
+            while todo:
+                cand = todo[-1]
+                if not cand:
+                    todo.pop()
+                    masks.pop()
+                    if seq:
+                        seq.pop()
+                    continue
+                low = cand & -cand
+                todo[-1] = cand ^ low
+                budget.spend()
+                v = low.bit_length() - 1
+                visited = masks[-1] | low
+                seq.append(v)
+                count = len(seq)
+                if count > best_len and count >= 3 and adj[v] & rootbit:
+                    best_len = count
+                    best_seq = seq.copy()
+                reach = _reachable_from(adj, v, visited)
+                if count + reach.bit_count() <= best_len or not root_adj & reach:
+                    seq.pop()
+                    continue
+                todo.append(adj[v] & ~visited)
+                masks.append(visited)
     except _BudgetHit as hit:
         incumbent = validate_cycle(g, best_seq) if best_seq is not None else None
         raise SolveBudgetError(
             f"longest_cycle: {hit}; best non-optimal cycle has length {best_len}",
             incumbent=incumbent,
         ) from None
-    if witness is None:
-        raise InternalInvariantError("longest_cycle: certified length has no witness")
-    return validate_cycle(g, witness)
+    if best_seq is None:
+        raise InternalInvariantError("longest_cycle: no cycle found in a 2-connected graph")
+    return validate_cycle(g, best_seq)
 
 
-def longest_path_oracle(g: Graph, max_vertices: int = 16) -> int:
+def longest_path_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
     """Exact longest-path length by subset DP over (visited set, endpoint).
 
     Intentionally disjoint from the branch-and-bound code path; used to
@@ -266,7 +235,7 @@ def longest_path_oracle(g: Graph, max_vertices: int = 16) -> int:
     return best
 
 
-def longest_cycle_oracle(g: Graph, max_vertices: int = 16) -> int:
+def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
     """Exact circumference by subset DP rooted at each subset's minimum
     vertex; returns 0 when the graph has no cycle."""
     if g.n > max_vertices:

@@ -131,24 +131,24 @@ def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
                 if pos[w] > pos[u] + 1:
                     record((u, w))
                 continue
-            # walk through off-path vertices
+            # walk through off-path vertices, one neighbour iterator per
+            # off-path vertex of the trail
             trail = [u, w]
             visited = {w}
-
-            def dive() -> None:
-                z = trail[-1]
-                for t in nbrs[z]:
+            todo = [iter(nbrs[w])]
+            while todo:
+                for t in todo[-1]:
                     if t in on_path:
                         if t != u and pos[t] > pos[u]:
                             record(tuple(trail) + (t,))
                     elif t not in visited:
                         visited.add(t)
                         trail.append(t)
-                        dive()
-                        trail.pop()
-                        visited.remove(t)
-
-            dive()
+                        todo.append(iter(nbrs[t]))
+                        break
+                else:
+                    todo.pop()
+                    visited.remove(trail.pop())
     ears.sort(key=lambda e: (pos[e.x_attach], pos[e.y_attach], e.interior))
     return ears
 

@@ -297,6 +297,14 @@ def test_analyze_triangle(triangle):
     assert r.bound == 3.0 and r.tight and r.ok
 
 
+def test_analyze_long_cycle():
+    # the searches walk 1200 vertices deep, past Python's default
+    # recursion limit
+    r = analyze(cycle_graph(1200))
+    assert (r.l, r.c, r.m) == (1199, 1200, 1)
+    assert r.ok
+
+
 def test_analyze_rejects_non_two_connected():
     with pytest.raises(NotTwoConnectedError) as err:
         analyze(path_graph(4))

@@ -136,6 +136,23 @@ def test_analyze_violation_exit_1(tmp_path, capsys, x2, monkeypatch):
     assert "VIOLATION" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_stack_or_heap_exhaustion_exits_3(tmp_path, capsys, x2, monkeypatch, error):
+    import vinebound.cli as cli_module
+
+    def exhausted(args):
+        raise error("simulated exhaustion")
+
+    monkeypatch.setitem(cli_module._HANDLERS, "analyze", exhausted)
+    code = main(["analyze", write_graph(tmp_path, x2)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource limit: ")
+    assert error.__name__ in lines[0]
+
+
 # ------------------------------------------------------------------
 # extremal
 # ------------------------------------------------------------------

@@ -121,6 +121,40 @@ def test_solvers_match_brute_force_on_seeded_graphs():
     assert checked >= 40
 
 
+def random_ear_graph(rng, n):
+    """A cycle grown by open ears to n vertices, then at most one chord.
+    2-connected by Whitney's theorem; over a third of them have no
+    Hamiltonian cycle."""
+    k = rng.randint(3, n - 1)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    size = k
+    while size < n:
+        a, b = rng.sample(range(size), 2)
+        interior = list(range(size, size + rng.randint(1, min(3, n - size))))
+        chain = [a, *interior, b]
+        edges += zip(chain, chain[1:])
+        size += len(interior)
+    if rng.random() < 0.5:
+        edges.append(tuple(rng.sample(range(n), 2)))
+    return Graph(n, edges)
+
+
+def test_solvers_match_brute_force_on_ear_decompositions():
+    import random
+
+    rng = random.Random(4417)
+    non_hamiltonian = 0
+    for _ in range(200):
+        g = random_ear_graph(rng, rng.randint(4, 10))
+        assert is_two_connected(g)
+        p = longest_path(g)
+        cyc = longest_cycle(g)
+        assert p.vertices == brute_longest_path_witness(g)
+        assert cyc.vertices == brute_longest_cycle_witness(g)
+        non_hamiltonian += cyc.length < g.n
+    assert non_hamiltonian >= 60, non_hamiltonian
+
+
 def test_witnesses_revalidate(x2):
     p = longest_path(x2)
     cyc = longest_cycle(x2)

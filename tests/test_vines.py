@@ -82,6 +82,14 @@ def test_ear_cap(k4):
     assert err.value.partial_count == 2
 
 
+def test_ears_long_off_path_walk():
+    # one ear through all 2997 off-path vertices, deeper than Python's
+    # default recursion limit
+    g = cycle_graph(3000)
+    ears = enumerate_ears(g, validate_path(g, (0, 1, 2)))
+    assert [e.vertices for e in ears] == [(0, *range(2999, 2, -1), 2)]
+
+
 # ------------------------------------------------------------------
 # vine verification
 # ------------------------------------------------------------------
