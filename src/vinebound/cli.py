@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-import traceback
 
 from .bounds import (
     BoundReport,
@@ -436,6 +435,11 @@ _HANDLERS = {
 }
 
 
+def _describe(exc: BaseException) -> str:
+    """The type and message of an exception on one line."""
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -453,11 +457,15 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except (RecursionError, MemoryError) as exc:
         # Python's stack or the heap ran out: a limit of this run, not a verdict.
-        print(f"resource limit: {traceback.format_exception_only(exc)[-1].strip()}", file=sys.stderr)
+        print(f"resource limit: {_describe(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalInvariantError as exc:
         print(f"internal invariant failed (bug or counterexample candidate): {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except Exception as exc:
+        # a crash is a fault of this run, never a counterexample candidate
+        print(f"internal error: {_describe(exc)}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -10,6 +10,13 @@ Two independent method families live here on purpose:
   of the lexicographically first optimal sequence, because the best length
   stays below the optimum until that sequence is reached. Its reverse has
   the same length and so cannot come earlier: it is orientation-normalized.
+  The prune bounds what the search can still add by the vertices reachable
+  from the current end that have two neighbours in H, the reach plus the
+  end (plus the root, for a cycle): every interior vertex of an extension
+  needs two, and only the last vertex of a path may have one. When a vertex
+  is its parent's only way on, it takes the parent's reach less itself and
+  runs no search of its own; that reach and its two-neighbour vertices are
+  exactly what a fresh search would find.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are bitmask dynamic
   programs over (vertex subset, endpoint) states. They share no code with
   the search and return lengths only; they exist to cross-check it.
@@ -71,20 +78,28 @@ class _Budget:
             raise _BudgetHit("time budget exhausted")
 
 
-def _reachable_from(adj: tuple[int, ...], v: int, blocked: int) -> int:
-    """Bitmask of vertices reachable from v without entering blocked ones."""
-    seen = 0
+def _reach(adj: tuple[int, ...], v: int, blocked: int, ones: int, twos: int) -> tuple[int, int]:
+    """Bitmask of the vertices reachable from v without entering blocked
+    ones, and the mask of vertices with two neighbours in H.
+
+    H is the reach plus the search vertices outside it that the caller
+    seeded ones / twos with: the vertices with at least one / two
+    neighbours among those (v, and the root of a cycle search).
+    """
+    reach = 0
     frontier = adj[v] & ~blocked
     while frontier:
-        seen |= frontier
+        reach |= frontier
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & ~blocked & ~seen
-    return seen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            a = adj[low.bit_length() - 1]
+            twos |= ones & a
+            ones |= a
+            nxt |= a
+        frontier = nxt & ~blocked & ~reach
+    return reach, twos
 
 
 def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
@@ -98,22 +113,27 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
         raise PreconditionError(f"longest_path needs at least two vertices, got n={g.n}")
     if not is_connected(g):
         raise PreconditionError("longest_path requires a connected graph")
+    n = g.n
     adj = g.adjacency_bits
     budget = _Budget(limits)
     best_len = 0
     best_seq = [0]
     # One frame per vertex of seq, plus a bottom frame whose candidates are
     # the start vertices: todo holds the bitmask of neighbours still to try,
-    # taken lowest first, and masks the vertices visited up to that frame.
+    # taken lowest first, masks the vertices visited up to that frame, and
+    # forced the (reach, twos) of the frame's vertex when it has exactly one
+    # candidate, else None.
     seq: list[int] = []
-    todo = [(1 << g.n) - 1]
+    todo = [(1 << n) - 1]
     masks = [0]
+    forced: list[tuple[int, int] | None] = [None]
     try:
         while todo:
             cand = todo[-1]
             if not cand:
                 todo.pop()
                 masks.pop()
+                forced.pop()
                 if seq:
                     seq.pop()
                 continue
@@ -129,11 +149,27 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
             if length > best_len:
                 best_len = length
                 best_seq = seq.copy()
-            if length + _reachable_from(adj, v, visited).bit_count() <= best_len:
+            if best_len == n - 1:
+                # nothing is longer, so the bound below would prune too
                 seq.pop()
                 continue
-            todo.append(adj[v] & ~visited)
+            if forced[-1] is None:
+                reach, twos = _reach(adj, v, visited, adj[v], 0)
+            else:
+                # v is its parent's only way on: v's reach is the parent's
+                # less v, and among those only v lost a neighbour
+                reach, twos = forced[-1]
+                reach ^= low
+            inner = reach & twos
+            # a path from v runs through vertices with two neighbours in
+            # reach + v and ends in at most one vertex with fewer
+            if length + inner.bit_count() + (inner != reach) <= best_len:
+                seq.pop()
+                continue
+            cand = adj[v] & ~visited
+            todo.append(cand)
             masks.append(visited)
+            forced.append(None if cand & (cand - 1) else (reach, twos))
     except _BudgetHit as hit:
         raise SolveBudgetError(
             f"longest_path: {hit}; best non-optimal path has length {best_len}",
@@ -155,8 +191,12 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
     budget = _Budget(limits)
     best_len = 0
     best_seq: list[int] | None = None
+    n = g.n
     try:
-        for root in range(g.n - 2):
+        for root in range(n - 2):
+            if best_len >= n - root:
+                # no cycle above the root is longer
+                break
             rootbit = 1 << root
             root_adj = adj[root]
             # Frames as in longest_path; the bottom frame holds the root
@@ -165,11 +205,13 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
             seq: list[int] = []
             todo = [rootbit]
             masks = [rootbit - 1]
+            forced: list[tuple[int, int] | None] = [None]
             while todo:
                 cand = todo[-1]
                 if not cand:
                     todo.pop()
                     masks.pop()
+                    forced.pop()
                     if seq:
                         seq.pop()
                     continue
@@ -183,12 +225,22 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 if count > best_len and count >= 3 and adj[v] & rootbit:
                     best_len = count
                     best_seq = seq.copy()
-                reach = _reachable_from(adj, v, visited)
-                if count + reach.bit_count() <= best_len or not root_adj & reach:
+                if forced[-1] is not None:
+                    reach, twos = forced[-1]
+                    reach ^= low
+                elif v == root:
+                    reach, twos = _reach(adj, v, visited, root_adj, 0)
+                else:
+                    reach, twos = _reach(adj, v, visited, adj[v] | root_adj, adj[v] & root_adj)
+                # the way back from v to the root runs through vertices with
+                # two neighbours in reach + v + root
+                if not root_adj & reach or count + (reach & twos).bit_count() <= best_len:
                     seq.pop()
                     continue
-                todo.append(adj[v] & ~visited)
+                cand = adj[v] & ~visited
+                todo.append(cand)
                 masks.append(visited)
+                forced.append(None if cand & (cand - 1) else (reach, twos))
     except _BudgetHit as hit:
         incumbent = validate_cycle(g, best_seq) if best_seq is not None else None
         raise SolveBudgetError(
@@ -279,24 +331,36 @@ def all_longest_paths(g: Graph, max_vertices: int = 10) -> list[Path]:
         raise PreconditionError("needs at least two vertices")
     target = longest_path_oracle(g, max_vertices=max_vertices)
     adj = g.adjacency_bits
-    nbrs = g.neighbors
     found: set[tuple[int, ...]] = set()
-    stack: list[int] = []
-
-    def walk(v: int, visited: int, length: int) -> None:
+    # Frames as in longest_path, without an incumbent: every sequence of
+    # the target length is kept.
+    seq: list[int] = []
+    todo = [(1 << g.n) - 1]
+    masks = [0]
+    while todo:
+        cand = todo[-1]
+        if not cand:
+            todo.pop()
+            masks.pop()
+            if seq:
+                seq.pop()
+            continue
+        low = cand & -cand
+        todo[-1] = cand ^ low
+        v = low.bit_length() - 1
+        visited = masks[-1] | low
+        seq.append(v)
+        length = len(seq) - 1
         if length == target:
-            seq = tuple(stack)
-            found.add(min(seq, seq[::-1]))
-            return
-        if length + _reachable_from(adj, v, visited).bit_count() < target:
-            return
-        for w in nbrs[v]:
-            if not visited >> w & 1:
-                stack.append(w)
-                walk(w, visited | 1 << w, length + 1)
-                stack.pop()
-
-    for s in range(g.n):
-        stack[:] = [s]
-        walk(s, 1 << s, 0)
-    return [validate_path(g, seq) for seq in sorted(found)]
+            path = tuple(seq)
+            found.add(min(path, path[::-1]))
+            seq.pop()
+            continue
+        reach, twos = _reach(adj, v, visited, adj[v], 0)
+        inner = reach & twos
+        if length + inner.bit_count() + (inner != reach) < target:
+            seq.pop()
+            continue
+        todo.append(adj[v] & ~visited)
+        masks.append(visited)
+    return [validate_path(g, path) for path in sorted(found)]

@@ -305,6 +305,18 @@ def test_analyze_long_cycle():
     assert r.ok
 
 
+def test_analyze_5000_cycle_with_default_limits():
+    # each forced step reuses its parent's reach, so the solves stay
+    # linear in the number of search nodes, well inside the time budget
+    r = analyze(cycle_graph(5000))
+    assert (r.l, r.c, r.m) == (4999, 5000, 1)
+    assert r.ok
+    # well inside 10 s: recounting the whole reach at every node of this
+    # search would take tens of seconds per solve
+    r = analyze(cycle_graph(5000), SolveLimits(time_budget=10.0))
+    assert (r.l, r.c, r.m) == (4999, 5000, 1)
+
+
 def test_analyze_rejects_non_two_connected():
     with pytest.raises(NotTwoConnectedError) as err:
         analyze(path_graph(4))

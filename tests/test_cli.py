@@ -153,6 +153,20 @@ def test_stack_or_heap_exhaustion_exits_3(tmp_path, capsys, x2, monkeypatch, err
     assert error.__name__ in lines[0]
 
 
+def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, x2, monkeypatch):
+    import vinebound.cli as cli_module
+
+    def crashed(args):
+        raise ValueError("simulated\ncrash")
+
+    monkeypatch.setitem(cli_module._HANDLERS, "analyze", crashed)
+    code = main(["analyze", write_graph(tmp_path, x2)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: ValueError: simulated crash"]
+
+
 # ------------------------------------------------------------------
 # extremal
 # ------------------------------------------------------------------

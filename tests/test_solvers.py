@@ -1,18 +1,21 @@
 import pytest
 
 from vinebound import (
+    ExtremalSpec,
     Graph,
     PreconditionError,
     SolveBudgetError,
     SolveLimits,
     all_longest_paths,
     canonical_cycle,
+    extremal_graph,
     is_connected,
     is_two_connected,
     longest_cycle,
     longest_cycle_oracle,
     longest_path,
     longest_path_oracle,
+    random_two_connected,
     validate_cycle,
     validate_path,
 )
@@ -22,6 +25,7 @@ from bruteforce import (
     brute_longest_cycle_witness,
     brute_longest_path_length,
     brute_longest_path_witness,
+    iter_simple_paths,
 )
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -153,6 +157,84 @@ def test_solvers_match_brute_force_on_ear_decompositions():
         assert cyc.vertices == brute_longest_cycle_witness(g)
         non_hamiltonian += cyc.length < g.n
     assert non_hamiltonian >= 60, non_hamiltonian
+
+
+def theta_chains(lengths, labels=None):
+    """Poles 0 and 1 joined by internally disjoint chains of the given
+    lengths, relabelled by labels[v] when given."""
+    edges = []
+    n = 2
+    for length in lengths:
+        chain = [0, *range(n, n + length - 1), 1]
+        edges += zip(chain, chain[1:])
+        n += length - 1
+    if labels is not None:
+        edges = [(labels[u], labels[v]) for u, v in edges]
+    return Graph(n, edges)
+
+
+def subdivided_thetas(max_n):
+    """Every theta with three or four chains (at most one of them a single
+    edge) and at most max_n vertices, chain lengths in non-decreasing order."""
+    def chains(k, shortest, room):
+        if k == 0:
+            yield ()
+            return
+        for length in range(max(shortest, 1), room + 2):
+            for rest in chains(k - 1, max(length, 2), room - (length - 1)):
+                yield (length, *rest)
+
+    for k in (3, 4):
+        yield from chains(k, 1, max_n - 2)
+
+
+def brute_all_longest_paths(g):
+    best = max(len(seq) for seq in iter_simple_paths(g))
+    return sorted({min(seq, seq[::-1]) for seq in iter_simple_paths(g) if len(seq) == best})
+
+
+def test_witnesses_pinned_on_extremal_family():
+    checked = 0
+    for m in range(2, 6):
+        for slack in range(0, 8, 2):
+            g = extremal_graph(ExtremalSpec(m, slack))[0]
+            if g.n > 11:
+                continue
+            assert longest_path(g).vertices == brute_longest_path_witness(g)
+            assert longest_cycle(g).vertices == brute_longest_cycle_witness(g)
+            if g.n <= 10:
+                assert [p.vertices for p in all_longest_paths(g)] == brute_all_longest_paths(g)
+            checked += 1
+    assert checked == 6
+
+
+def test_witnesses_pinned_on_subdivided_thetas():
+    # long degree-2 chains: most search steps are some vertex's only way on
+    import random
+
+    rng = random.Random(3061)
+    checked = 0
+    for lengths in subdivided_thetas(11):
+        plain = theta_chains(lengths)
+        labels = list(range(plain.n))
+        rng.shuffle(labels)
+        for g in (plain, theta_chains(lengths, labels)):
+            assert is_two_connected(g)
+            assert longest_path(g).vertices == brute_longest_path_witness(g)
+            assert longest_cycle(g).vertices == brute_longest_cycle_witness(g)
+            if g.n <= 10:
+                assert [p.vertices for p in all_longest_paths(g)] == brute_all_longest_paths(g)
+        checked += 1
+    assert checked >= 50, checked
+
+
+def test_dense_cycle_certified_within_small_node_budget():
+    # the two-neighbour bound closes this search in a few hundred nodes;
+    # a bound counting every reachable vertex needs over 200,000
+    g = random_two_connected(21, 40, 5677563859266279251)[0]
+    cyc = longest_cycle(g, SolveLimits(node_budget=5_000))
+    assert cyc.length == 21
+    assert validate_cycle(g, cyc.vertices).vertices == cyc.vertices
 
 
 def test_witnesses_revalidate(x2):
