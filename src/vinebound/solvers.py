@@ -10,12 +10,18 @@ Two independent method families live here on purpose:
   of the lexicographically first optimal sequence, because the best length
   stays below the optimum until that sequence is reached. Its reverse has
   the same length and so cannot come earlier: it is orientation-normalized.
+  For a cycle, that sequence starts at the smallest vertex and leaves it
+  for the smaller of its two neighbours on the cycle, so the search starts
+  each cycle at its smallest vertex and closes it only through a root
+  neighbour above the first step: the reverse direction is never searched,
+  and a root with fewer than two neighbours above it never spends a node.
   The prune bounds what the search can still add by the vertices reachable
   from the current end that have two neighbours in H, the reach plus the
-  end (plus the root, for a cycle): every interior vertex of an extension
-  needs two, and only the last vertex of a path may have one. When a vertex
-  is its parent's only way on, it takes the parent's reach less itself and
-  runs no search of its own; that reach and its two-neighbour vertices are
+  end (plus the root, for a cycle, joined to those neighbours it may still
+  close through): every interior vertex of an extension needs two, and
+  only the last vertex of a path may have one. When a vertex is its
+  parent's only way on, it takes the parent's reach less itself and runs
+  no search of its own; that reach and its two-neighbour vertices are
   exactly what a fresh search would find.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are bitmask dynamic
   programs over (vertex subset, endpoint) states. They share no code with
@@ -199,6 +205,12 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 break
             rootbit = 1 << root
             root_adj = adj[root]
+            # the root neighbours a cycle may still close through
+            closers = root_adj & ~((rootbit << 1) - 1)
+            if not closers & (closers - 1):
+                # fewer than two neighbours above the root: no cycle has
+                # it as its smallest vertex
+                continue
             # Frames as in longest_path; the bottom frame holds the root
             # alone, and every mask blocks the vertices below the root, so
             # each cycle is found from its smallest vertex only.
@@ -222,7 +234,12 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 visited = masks[-1] | low
                 seq.append(v)
                 count = len(seq)
-                if count > best_len and count >= 3 and adj[v] & rootbit:
+                if count == 2:
+                    # each cycle is searched in one direction only: it
+                    # leaves the root for the smaller of its two root
+                    # neighbours and closes through the larger
+                    closers = root_adj & ~((low << 1) - 1)
+                elif count > best_len and closers & low:
                     best_len = count
                     best_seq = seq.copy()
                 if forced[-1] is not None:
@@ -231,10 +248,10 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 elif v == root:
                     reach, twos = _reach(adj, v, visited, root_adj, 0)
                 else:
-                    reach, twos = _reach(adj, v, visited, adj[v] | root_adj, adj[v] & root_adj)
-                # the way back from v to the root runs through vertices with
-                # two neighbours in reach + v + root
-                if not root_adj & reach or count + (reach & twos).bit_count() <= best_len:
+                    reach, twos = _reach(adj, v, visited, adj[v] | closers, adj[v] & closers)
+                # the way back from v to the root ends in a closer and runs
+                # through vertices with two neighbours in reach + v + root
+                if not closers & reach or count + (reach & twos).bit_count() <= best_len:
                     seq.pop()
                     continue
                 cand = adj[v] & ~visited
@@ -323,17 +340,18 @@ def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> i
 
 
 def all_longest_paths(g: Graph, max_vertices: int = 10) -> list[Path]:
-    """Every longest path, orientation-normalized and deduplicated, in
-    lexicographic order. Exhaustive, so capped to small graphs."""
+    """Every longest path, orientation-normalized, in lexicographic order.
+    Exhaustive, so capped to small graphs."""
     if g.n > max_vertices:
         raise PreconditionError(f"exhaustive path listing capped at {max_vertices} vertices")
     if g.n < 2:
         raise PreconditionError("needs at least two vertices")
     target = longest_path_oracle(g, max_vertices=max_vertices)
     adj = g.adjacency_bits
-    found: set[tuple[int, ...]] = set()
+    found: list[Path] = []
     # Frames as in longest_path, without an incumbent: every sequence of
-    # the target length is kept.
+    # the target length is kept in the direction that ends above its start,
+    # and the depth-first order is already lexicographic.
     seq: list[int] = []
     todo = [(1 << g.n) - 1]
     masks = [0]
@@ -352,8 +370,8 @@ def all_longest_paths(g: Graph, max_vertices: int = 10) -> list[Path]:
         seq.append(v)
         length = len(seq) - 1
         if length == target:
-            path = tuple(seq)
-            found.add(min(path, path[::-1]))
+            if v > seq[0]:
+                found.append(validate_path(g, seq))
             seq.pop()
             continue
         reach, twos = _reach(adj, v, visited, adj[v], 0)
@@ -363,4 +381,4 @@ def all_longest_paths(g: Graph, max_vertices: int = 10) -> list[Path]:
             continue
         todo.append(adj[v] & ~visited)
         masks.append(visited)
-    return [validate_path(g, path) for path in sorted(found)]
+    return found

@@ -30,7 +30,12 @@ from vinebound import (
     verify_all_vines,
     verify_vine_against,
 )
-from vinebound.families import ExtremalSpec, extremal_graph
+from vinebound.families import (
+    ExtremalSpec,
+    extremal_cycle_length,
+    extremal_graph,
+    extremal_path_length,
+)
 
 from conftest import cycle_graph, path_graph
 
@@ -395,3 +400,18 @@ def test_bound_holds_for_every_vine_on_fixtures(x1, x2, k4, theta):
             y = c - vine.m - 2
             assert y >= 0
             assert c * c >= circumference_bound_squared(l, y, vine.m)
+
+
+def test_analyze_on_the_whole_extremal_grid():
+    # every (m, slack) the extremal-grid benchmark runs, up to n = 143
+    for m in range(2, 21):
+        for slack in (0, 2):
+            spec = ExtremalSpec(m, slack)
+            g, spine, _ = extremal_graph(spec)
+            report = analyze(g)
+            assert report.l == extremal_path_length(spec), spec
+            assert report.c == extremal_cycle_length(spec), spec
+            assert report.tight, spec
+            assert report.path.vertices == spine.vertices, spec
+            cyc = report.cycle.vertices
+            assert cyc[0] == min(cyc) and cyc[1] < cyc[-1], spec

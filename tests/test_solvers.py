@@ -237,6 +237,34 @@ def test_dense_cycle_certified_within_small_node_budget():
     assert validate_cycle(g, cyc.vertices).vertices == cyc.vertices
 
 
+def test_extremal_cycle_certified_within_small_node_budget():
+    # each cycle is searched in one direction only; searching both needs
+    # 7,491 nodes here
+    g = extremal_graph(ExtremalSpec(20, 2))[0]
+    cyc = longest_cycle(g, SolveLimits(node_budget=5_000))
+    assert cyc.length == 24
+    assert validate_cycle(g, cyc.vertices).vertices == cyc.vertices
+
+
+def test_cycle_witnesses_pinned_on_hub_graphs():
+    # a hub root has many neighbours above it to close through
+    import random
+
+    rng = random.Random(5923)
+    hubs = [Graph(3 + k, [(i, j) for i in range(3) for j in range(3, 3 + k)]) for k in range(3, 9)]
+    hubs += [Graph(n, [(0, i) for i in range(1, n)] + [(i, i % (n - 1) + 1) for i in range(1, n)])
+             for n in range(4, 12)]
+    for plain in hubs:
+        graphs = [plain]
+        for _ in range(2):
+            labels = list(range(plain.n))
+            rng.shuffle(labels)
+            graphs.append(Graph(plain.n, [(labels[u], labels[v]) for u, v in sorted(plain.edges)]))
+        for g in graphs:
+            assert is_two_connected(g)
+            assert longest_cycle(g).vertices == brute_longest_cycle_witness(g)
+
+
 def test_witnesses_revalidate(x2):
     p = longest_path(x2)
     cyc = longest_cycle(x2)
