@@ -440,9 +440,16 @@ def _describe(exc: BaseException) -> str:
     return " ".join(f"{type(exc).__name__}: {exc}".split())
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code. Safe to call repeatedly in
+    one process: the parser is built once and parse_args leaves it as it was."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

@@ -39,7 +39,6 @@ from .graphs import (
     Path,
     Cycle,
     is_connected,
-    two_connectivity_failure,
     validate_cycle,
     validate_path,
 )
@@ -190,7 +189,7 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
     Tie-break: the canonical rotation/reflection starting at the smallest
     vertex, then lexicographically smallest.
     """
-    failure = two_connectivity_failure(g)
+    failure = g.two_connectivity_failure
     if failure is not None:
         raise PreconditionError(f"longest_cycle requires a 2-connected graph: {failure}")
     adj = g.adjacency_bits

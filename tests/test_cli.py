@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vinebound import parse_graph, serialize_graph, validate_cycle, validate_path
+from vinebound import cli, parse_graph, serialize_graph, validate_cycle, validate_path
 from vinebound.cli import main
 
 from conftest import path_graph, x2_graph
@@ -99,6 +99,42 @@ def test_analyze_json_byte_identical(tmp_path, capsys, x2):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first) == json.loads(second)
+
+
+def test_repeated_calls_leak_no_options(tmp_path, capsys, x2):
+    source = write_graph(tmp_path, x2)
+    assert main(["analyze", source, "--verbose"]) == 0
+    assert "path:" in capsys.readouterr().out
+    assert main(["analyze", source]) == 0
+    assert capsys.readouterr().out == "l=6 c=5 m=3 y=0 bound=5.000000 TIGHT\n"
+    assert main(["analyze", source, "--node-budget", "3"]) == 3
+    assert main(["analyze", source]) == 0
+
+
+def test_rejected_arguments_then_valid_call(tmp_path, capsys, x2):
+    source = write_graph(tmp_path, x2)
+    for bad in (["analyze", source, "--no-such-flag"], ["analyze", source, "--node-budget", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert main(["analyze", source]) == 0
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch, x2):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    source = write_graph(tmp_path, x2)
+    assert main(["analyze", source]) == 0
+    assert main(["analyze", source, "--json", "-"]) == 0
+    assert main(["extremal", "--m", "2", "--slack", "0"]) == 0
+    assert len(builds) == 1
 
 
 def test_analyze_json_to_file_and_verbose(tmp_path, capsys, x1):

@@ -5,18 +5,26 @@ from vinebound import (
     Graph,
     GraphParseError,
     NotTwoConnectedError,
+    Path,
     PathValidationError,
+    PreconditionError,
+    analyze,
     articulation_points,
     canonical_cycle,
+    enumerate_vines,
+    find_min_vine,
     is_connected,
     is_two_connected,
     parse_graph,
     require_two_connected,
     serialize_graph,
+    longest_cycle,
     two_connectivity_failure,
     validate_cycle,
     validate_path,
 )
+from vinebound import graphs
+from vinebound.cli import main
 
 from bruteforce import brute_two_connected
 from conftest import complete_graph, cycle_graph, path_graph, x1_graph
@@ -175,6 +183,62 @@ def test_two_connected_matches_brute_force_on_seeded_graphs():
         edges = [e for e in possible if rng.random() < 0.45]
         g = Graph(n, edges)
         assert is_two_connected(g) == brute_two_connected(g)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every graph the module-level two_connectivity_failure is called on."""
+    seen = []
+    original = graphs.two_connectivity_failure
+
+    def counting(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "two_connectivity_failure", counting)
+    return seen
+
+
+def test_analyze_certifies_two_connectivity_once(sweeps, x2):
+    analyze(x2)
+    assert sweeps == [x2]
+
+
+def test_fuzz_instance_certifies_two_connectivity_once(sweeps, capsys):
+    assert main(["fuzz", "--count", "1", "--nmin", "8", "--nmax", "8", "--seed", "5"]) == 0
+    assert len(sweeps) == 1
+
+
+# (graph, failure reason, articulation_vertex of NotTwoConnectedError)
+NOT_TWO_CONNECTED = [
+    (Graph(2, [(0, 1)]), "needs at least 3 vertices, has 2", None),
+    (path_graph(4), "articulation vertex 1", 1),
+    (Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]), "articulation vertex 2", 2),
+    (Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "graph is disconnected", None),
+    (Graph(4, [(0, 1), (1, 2)]), "graph is disconnected", 1),
+]
+
+
+@pytest.mark.parametrize("g, reason, vertex", NOT_TWO_CONNECTED)
+def test_every_entry_point_rejects_with_the_same_error(g, reason, vertex):
+    # the same Graph object throughout: only the first call sweeps
+    p = Path([0, 1])
+    for _ in range(2):
+        for call in (
+            lambda: analyze(g),
+            lambda: find_min_vine(g, p),
+            lambda: enumerate_vines(g, p, 1),
+            lambda: require_two_connected(g),
+        ):
+            with pytest.raises(NotTwoConnectedError) as err:
+                call()
+            assert str(err.value) == f"graph is not 2-connected: {reason}"
+            assert err.value.articulation_vertex == vertex
+        with pytest.raises(PreconditionError) as err:
+            longest_cycle(g)
+        assert type(err.value) is PreconditionError
+        assert str(err.value) == f"longest_cycle requires a 2-connected graph: {reason}"
+        assert two_connectivity_failure(g) == g.two_connectivity_failure == reason
 
 
 # ------------------------------------------------------------------
