@@ -5,13 +5,11 @@ Vertices are dense 0-based integers. All types are immutable after
 construction and every operation is a pure function, so shared instances
 are safe to use concurrently.
 
-A Graph certifies its 2-connectivity once. The cached property
-``Graph.two_connectivity_failure`` keeps the result of the first call of
-the function ``two_connectivity_failure``, and ``is_two_connected``,
-``require_two_connected`` and ``solvers.longest_cycle`` read it, so a graph
-that goes through the whole pipeline is swept once. Its cut vertices are
-cached as well, so ``NotTwoConnectedError`` names one without a second
-low-point sweep.
+A Graph certifies its 2-connectivity once. ``Graph.two_connectivity_failure``
+caches what the function of that name returns, and ``is_two_connected``,
+``require_two_connected`` and ``solvers.longest_cycle`` read it; the cut
+vertices are cached too, so ``NotTwoConnectedError`` names one without a
+second sweep.
 """
 
 from __future__ import annotations
