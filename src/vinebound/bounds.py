@@ -314,6 +314,10 @@ class VineVerification:
     qstar_len: int | None
     violations: tuple[str, ...]
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
 
 def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVerification:
     """Run every theorem check one vine supports: slack sign, the exact
@@ -383,33 +387,23 @@ def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVe
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Per-instance verdict bundle for one graph."""
+class BoundReport(VineVerification):
+    """Per-instance verdict for one graph: the minimum vine's verification
+    against the solved l and c, with the Dirac checks and the witnesses.
+    Its violations include those of the Dirac checks."""
 
     n: int
     edge_count: int
     l: int
     c: int
-    m: int
-    slack: int
-    parity: str
-    bound: float
-    bound_met: bool
-    tight: bool
-    ineq1: Inequality1Verdict | None
-    ineq2: tuple[Inequality2Verdict, ...]
-    q0_len: int
-    qj_lens: tuple[int, ...]
-    qstar_len: int | None
     dirac: DiracVerdict
     path: Path
     cycle: Cycle
     vine: Vine
-    violations: tuple[str, ...]
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def parity(self) -> str:
+        return "odd" if self.m % 2 else "even"
 
 
 def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
@@ -436,26 +430,8 @@ def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
     if dirac.conjecture_a and not dirac.theorem_a:
         violations.append("implication broken: c^2 >= 4l but c^2 <= 2l")
     return BoundReport(
-        n=g.n,
-        edge_count=g.edge_count,
-        l=l,
-        c=c,
-        m=vine.m,
-        slack=verdict.slack,
-        parity="odd" if vine.m % 2 else "even",
-        bound=verdict.bound,
-        bound_met=verdict.bound_met,
-        tight=verdict.tight,
-        ineq1=verdict.ineq1,
-        ineq2=verdict.ineq2,
-        q0_len=verdict.q0_len,
-        qj_lens=verdict.qj_lens,
-        qstar_len=verdict.qstar_len,
-        dirac=dirac,
-        path=path,
-        cycle=cycle,
-        vine=vine,
-        violations=tuple(violations),
+        **(vars(verdict) | {"violations": tuple(violations)}),
+        n=g.n, edge_count=g.edge_count, l=l, c=c, dirac=dirac, path=path, cycle=cycle, vine=vine,
     )
 
 

@@ -5,15 +5,16 @@ family instance, ``fuzz`` for seeded random campaigns, and
 ``oracle-check`` to cross-validate the two solver implementations.
 
 Exit codes: 0 all checks pass, 1 any violation (counterexample
-candidate), 2 input error, 3 resource limit hit. JSON reports contain no
-wall-clock values, so identical invocations are byte-identical.
+candidate), 2 input error, 3 resource limit hit. A fuzz campaign whose
+failed instances all ran out of a budget exits 3; any violation or failed
+invariant among them makes it exit 1. JSON reports contain no wall-clock
+values, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -39,6 +40,7 @@ from .families import (
     extremal_path_length,
     fuzz_campaign,
     random_two_connected,
+    seeded_instances,
 )
 from .graphs import parse_graph, serialize_graph
 from .solvers import (
@@ -118,46 +120,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ineq1_dict(report: BoundReport):
-    if report.ineq1 is None:
-        return None
-    return {"lhs": report.ineq1.lhs, "rhs": report.ineq1.rhs, "ok": report.ineq1.ok}
-
-
-def _ineq2_list(report: BoundReport):
-    return [
-        {
-            "j": v.j,
-            "lhs": v.lhs,
-            "rhs": v.rhs,
-            "weak_rhs": v.weak_rhs,
-            "ok": v.ok,
-            "weak_ok": v.weak_ok,
-        }
-        for v in report.ineq2
-    ]
+# The pinned key orders of an analyze report's results and of a fuzz record.
+_RESULT_KEYS = (
+    "l", "c", "m", "slack", "parity", "bound", "bound_met", "tight",
+    "ineq1", "ineq2", "q0_len", "qj_lens", "dirac",
+)
+_RECORD_KEYS = (
+    "index", "seed", "n", "extra_requested", "extra_placed",
+    "l", "c", "m", "slack", "parity", "bound", "tight",
+    "oracle_checked", "vines_checked", "vines_truncated", "ok", "violations",
+)
 
 
 def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
     """The pinned per-instance report schema."""
-    results = {
-        "l": report.l,
-        "c": report.c,
-        "m": report.m,
-        "slack": report.slack,
-        "parity": report.parity,
-        "bound": report.bound,
-        "bound_met": report.bound_met,
-        "tight": report.tight,
-        "ineq1": _ineq1_dict(report),
-        "ineq2": _ineq2_list(report),
-        "q0_len": report.q0_len,
-        "qj_lens": list(report.qj_lens),
-        "dirac": {
-            "theorem_a": report.dirac.theorem_a,
-            "conjecture_a": report.dirac.conjecture_a,
-        },
-    }
+    results = {key: getattr(report, key) for key in _RESULT_KEYS}
+    results["ineq1"] = None if report.ineq1 is None else dict(vars(report.ineq1))
+    results["ineq2"] = [dict(vars(v)) for v in report.ineq2]
+    results["dirac"] = dict(vars(report.dirac))
     if report.qstar_len is not None:
         results["qstar_len"] = report.qstar_len
     return {
@@ -173,41 +153,25 @@ def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
     }
 
 
-def fuzz_document(report: FuzzReport, command: dict) -> dict:
-    instances = []
-    for r in report.records:
-        record = {
-            "index": r.index,
-            "seed": r.seed,
-            "n": r.n,
-            "extra_requested": r.extra_requested,
-            "extra_placed": r.extra_placed,
-            "l": r.l,
-            "c": r.c,
-            "m": r.m,
-            "slack": r.slack,
-            "parity": r.parity,
-            "bound": r.bound,
-            "tight": r.tight,
-            "oracle_checked": r.oracle_checked,
-            "vines_checked": r.vines_checked,
-            "vines_truncated": r.vines_truncated,
-            "ok": r.ok,
-            "violations": list(r.violations),
-        }
-        if r.graph_text is not None:
-            record["graph"] = r.graph_text
-        instances.append(record)
+def _campaign_document(command: dict, instances: list[dict], failed: int) -> dict:
+    """The pinned schema of a fuzz or oracle-check report."""
+    count = len(instances)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "instances": instances,
-        "summary": {
-            "count": len(report.records),
-            "passed": report.passed,
-            "failed": report.failed,
-        },
+        "summary": {"count": count, "passed": count - failed, "failed": failed},
     }
+
+
+def fuzz_document(report: FuzzReport, command: dict) -> dict:
+    instances = []
+    for r in report.records:
+        record = {key: getattr(r, key) for key in _RECORD_KEYS}
+        if r.graph_text is not None:
+            record["graph"] = r.graph_text
+        instances.append(record)
+    return _campaign_document(command, instances, report.failed)
 
 
 def _write_json(doc: dict, target: str) -> None:
@@ -366,7 +330,10 @@ def cmd_fuzz(args) -> int:
             f"summary: {report.passed}/{len(report.records)} passed, "
             f"{report.failed} violations, {report.elapsed:.2f}s"
         )
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    if report.ok:
+        return EXIT_OK
+    limited = all(r.resource_limited for r in report.records if not r.ok)
+    return EXIT_RESOURCE if limited else EXIT_VIOLATION
 
 
 def cmd_oracle_check(args) -> int:
@@ -377,14 +344,10 @@ def cmd_oracle_check(args) -> int:
         raise PreconditionError(
             f"nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
         )
-    master = random.Random(args.seed)
     instances = []
     failures = 0
     start = time.monotonic()
-    for index in range(args.count):
-        n = master.randint(3, args.nmax)
-        extra = master.randint(0, n)
-        seed = master.getrandbits(63)
+    for index, n, extra, seed in seeded_instances(args.seed, args.count, 3, args.nmax):
         g, _ = random_two_connected(n, extra, seed)
         l_search = longest_path(g, limits).length
         c_search = longest_cycle(g, limits).length
@@ -407,12 +370,7 @@ def cmd_oracle_check(args) -> int:
         )
     elapsed = time.monotonic() - start
     command = {"name": "oracle-check", "count": args.count, "nmax": args.nmax, "seed": args.seed}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "instances": instances,
-        "summary": {"count": args.count, "passed": args.count - failures, "failed": failures},
-    }
+    doc = _campaign_document(command, instances, failures)
     if args.json is not None:
         _write_json(doc, args.json)
     if args.json != "-":

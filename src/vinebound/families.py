@@ -17,13 +17,18 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterator
 
-from .bounds import analyze, verify_all_vines
-from .errors import PreconditionError, InternalInvariantError, VineboundError
+from .bounds import BoundReport, analyze, verify_all_vines
+from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, VineboundError
 from .graphs import Graph, Path, is_two_connected, serialize_graph, validate_path
 from .solvers import SolveLimits, longest_cycle_oracle, longest_path_oracle
 from .vines import Ear, Vine, verify_vine
 
+# Fuzz cross-checks instances up to this size against the oracles, which
+# keeps their 2^n DP cheap per instance; solvers.ORACLE_MAX_VERTICES (16)
+# is the oracles' own cap, up to which oracle-check may go.
 ORACLE_CROSS_CHECK_MAX_N = 12
 
 
@@ -158,27 +163,38 @@ class FuzzConfig:
             raise PreconditionError(f"jobs must be at least 1, got {self.jobs}")
 
 
+# What a record reads for the report's summary fields when verification raised.
+_NO_RESULT = {"l": 0, "c": 0, "m": 0, "slack": 0, "parity": "odd", "bound": 0.0, "tight": False}
+
+
 @dataclass(frozen=True)
 class InstanceRecord:
-    """Outcome of one fuzz instance; graph_text is set only on violation."""
+    """Outcome of one fuzz instance; graph_text is set only on violation.
+
+    report is None when verification raised; resource_limited says whether
+    it ran out of a budget. The names in _NO_RESULT read through to the
+    report, or give the placeholder there when it is None.
+    """
 
     index: int
     seed: int
     n: int
     extra_requested: int
     extra_placed: int
-    l: int
-    c: int
-    m: int
-    slack: int
-    parity: str
-    bound: float
-    tight: bool
-    oracle_checked: bool
-    vines_checked: int
-    vines_truncated: bool
     violations: tuple[str, ...]
-    graph_text: str | None = None
+    graph_text: str | None
+    report: BoundReport | None = None
+    oracle_checked: bool = False
+    vines_checked: int = 0
+    vines_truncated: bool = False
+    resource_limited: bool = False
+
+    def __getattr__(self, name):
+        # only the table's names: anything else, such as the attributes
+        # pickle probes before the fields are set, must not recurse
+        if name not in _NO_RESULT:
+            raise AttributeError(name)
+        return _NO_RESULT[name] if self.report is None else getattr(self.report, name)
 
     @property
     def ok(self) -> bool:
@@ -206,8 +222,10 @@ class FuzzReport:
         return self.failed == 0
 
 
-def _run_fuzz_instance(task: tuple[int, int, int, int, int, SolveLimits]) -> InstanceRecord:
-    index, seed, n, extra, vine_cap, limits = task
+def _run_fuzz_instance(
+    instance: tuple[int, int, int, int], vine_cap: int, limits: SolveLimits
+) -> InstanceRecord:
+    index, n, extra, seed = instance
     g, placed = random_two_connected(n, extra, seed)
     try:
         report = analyze(g, limits)
@@ -222,45 +240,33 @@ def _run_fuzz_instance(task: tuple[int, int, int, int, int, SolveLimits]) -> Ins
                 violations.append(f"oracle disagrees on l: search {report.l}, oracle {oracle_l}")
             if oracle_c != report.c:
                 violations.append(f"oracle disagrees on c: search {report.c}, oracle {oracle_c}")
-        return InstanceRecord(
-            index=index,
-            seed=seed,
-            n=n,
-            extra_requested=extra,
-            extra_placed=placed,
-            l=report.l,
-            c=report.c,
-            m=report.m,
-            slack=report.slack,
-            parity=report.parity,
-            bound=report.bound,
-            tight=report.tight,
-            oracle_checked=oracle_checked,
-            vines_checked=checked,
-            vines_truncated=truncated,
-            violations=tuple(violations),
-            graph_text=serialize_graph(g) if violations else None,
-        )
     except VineboundError as exc:
+        # the record carries a flag, not the exception: some of them do not pickle
         return InstanceRecord(
-            index=index,
-            seed=seed,
-            n=n,
-            extra_requested=extra,
-            extra_placed=placed,
-            l=0,
-            c=0,
-            m=0,
-            slack=0,
-            parity="odd",
-            bound=0.0,
-            tight=False,
-            oracle_checked=False,
-            vines_checked=0,
-            vines_truncated=False,
-            violations=(f"exception during verification: {type(exc).__name__}: {exc}",),
+            index, seed, n, extra, placed,
+            (f"exception during verification: {type(exc).__name__}: {exc}",),
             graph_text=serialize_graph(g),
+            resource_limited=isinstance(exc, ResourceLimitError),
         )
+    return InstanceRecord(
+        index, seed, n, extra, placed, tuple(violations),
+        graph_text=serialize_graph(g) if violations else None,
+        report=report, oracle_checked=oracle_checked, vines_checked=checked, vines_truncated=truncated,
+    )
+
+
+def seeded_instances(
+    seed: int, count: int, n_min: int, n_max: int, extra_min: int = 0, extra_max: int | None = None
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (index, n, extra, seed) for count instances drawn from one
+    master generator, in that order: n from [n_min, n_max], extra from
+    [extra_min, extra_max] (up to n when extra_max is None), then the
+    instance seed."""
+    master = random.Random(seed)
+    for index in range(count):
+        n = master.randint(n_min, n_max)
+        extra = master.randint(extra_min, n if extra_max is None else extra_max)
+        yield index, n, extra, master.getrandbits(63)
 
 
 def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
@@ -270,17 +276,12 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     instance together with a replayable graph file. Records are ordered by
     instance index regardless of the number of worker processes.
     """
-    master = random.Random(cfg.seed)
-    tasks = []
-    for index in range(cfg.count):
-        n = master.randint(cfg.n_min, cfg.n_max)
-        extra = master.randint(cfg.extra_min, cfg.extra_max)
-        seed = master.getrandbits(63)
-        tasks.append((index, seed, n, extra, cfg.vine_cap, cfg.limits))
+    run = partial(_run_fuzz_instance, vine_cap=cfg.vine_cap, limits=cfg.limits)
+    instances = seeded_instances(cfg.seed, cfg.count, cfg.n_min, cfg.n_max, cfg.extra_min, cfg.extra_max)
     start = time.monotonic()
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = tuple(pool.map(_run_fuzz_instance, tasks, chunksize=8))
+            records = tuple(pool.map(run, instances, chunksize=8))
     else:
-        records = tuple(_run_fuzz_instance(task) for task in tasks)
+        records = tuple(map(run, instances))
     return FuzzReport(cfg, records, time.monotonic() - start)

@@ -58,6 +58,8 @@ class SolveLimits:
 
 DEFAULT_LIMITS = SolveLimits()
 
+# The subset-DP oracles' own cap: each walks a 2^n table. Fuzz stops its
+# cross-checks lower, at families.ORACLE_CROSS_CHECK_MAX_N, to stay cheap.
 ORACLE_MAX_VERTICES = 16
 
 

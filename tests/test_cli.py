@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vinebound import cli, parse_graph, serialize_graph, validate_cycle, validate_path
+from vinebound.errors import InternalInvariantError, ResourceLimitError
 from vinebound.cli import main
 
 from conftest import path_graph, x2_graph
@@ -284,6 +285,36 @@ def test_fuzz_jobs_flag_same_report(capsys):
     main(base + ["--jobs", "2"])
     par = capsys.readouterr().out
     assert seq == par
+
+
+@pytest.mark.parametrize("second, expected", [
+    (ResourceLimitError("simulated budget"), 3),
+    (InternalInvariantError("simulated bug"), 1),
+    (None, 1),  # a theorem violation
+])
+def test_fuzz_exit_code_beside_a_budget_failure(capsys, monkeypatch, second, expected):
+    """Instances out of budget alone exit 3; a violation or a failed
+    invariant on another instance exits 1."""
+    import dataclasses
+
+    from vinebound import families
+    from vinebound import analyze as real_analyze
+
+    outcomes = [ResourceLimitError("simulated budget"), second]
+
+    def doctored(g, limits):
+        report = real_analyze(g, limits)
+        if not outcomes:
+            return report
+        outcome = outcomes.pop(0)
+        if outcome is None:
+            return dataclasses.replace(report, violations=("forced test violation",))
+        raise outcome
+
+    monkeypatch.setattr(families, "analyze", doctored)
+    code = main(["fuzz", "--count", "3", "--nmin", "4", "--nmax", "8", "--seed", "5"])
+    assert code == expected
+    assert "summary: 1/3 passed, 2 violations" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Frozen JSON reports: each command must keep writing exactly these bytes.
 
 The files under tests/golden/ were written by the command lines below;
-regenerate one only when a change to its report is intended. ``analyze``
+regenerate one only when a change to its report is intended. The
+budget-limited fuzz report was written by the command line in
+BUDGET_FUZZ. ``analyze``
 runs inside tests/golden/ so that the graph path the report echoes is
 the bare file name.
 """
@@ -29,3 +31,15 @@ def test_json_report_matches_golden_bytes(golden, argv, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+# Four of these eight instances run out of the node budget; the others pass.
+BUDGET_FUZZ = ["fuzz", "--count", "8", "--nmin", "4", "--nmax", "12", "--seed", "1",
+               "--node-budget", "20", "--json", "-"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_budget_limited_fuzz_exits_3_with_golden_bytes(jobs, capsys):
+    assert main(BUDGET_FUZZ + ["--jobs", jobs]) == 3
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "fuzz_budget_seed1.json").read_bytes()
