@@ -49,7 +49,6 @@ from .solvers import SolveLimits, DEFAULT_LIMITS, all_longest_paths, longest_cyc
 from .vines import (
     Vine,
     _chain_failure,
-    _position_map,
     enumerate_vines,
     find_min_vine,
     verify_vine,
@@ -102,15 +101,15 @@ def decompose(vine: Vine) -> SegmentDecomposition:
             "single-ear vines are handled by the dedicated m=1 pathway"
         )
     p = vine.base
-    pos = _position_map(p)
+    pos = p.positions
     for ear in vine.ears:
         if ear.x_attach not in pos or ear.y_attach not in pos:
             raise PreconditionError("vine attachment off the base path")
-    broken = _chain_failure(pos, vine.ears, len(p.vertices) - 1)
-    if broken is not None:
-        raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
     xs = [pos[e.x_attach] for e in vine.ears]
     ys = [pos[e.y_attach] for e in vine.ears]
+    broken = _chain_failure(xs, ys, len(p.vertices) - 1)
+    if broken is not None:
+        raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
     a_spans = [(xs[0], xs[1])]
     a_spans += [(ys[i - 1], xs[i + 1]) for i in range(1, m - 1)]
     a_spans += [(ys[m - 2], ys[m - 1])]

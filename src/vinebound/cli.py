@@ -318,7 +318,7 @@ def cmd_fuzz(args) -> int:
     if args.json != "-":
         width = len(str(cfg.count))
         for r in report.records:
-            status = "ok" if r.ok else "VIOLATION"
+            status = "ok" if r.ok else "BUDGET" if r.resource_limited else "VIOLATION"
             print(
                 f"[{r.index + 1:>{width}}/{cfg.count}] seed={r.seed} n={r.n} "
                 f"extra={r.extra_placed} l={r.l} c={r.c} m={r.m} y={r.slack} "
@@ -332,8 +332,9 @@ def cmd_fuzz(args) -> int:
         )
     if report.ok:
         return EXIT_OK
-    limited = all(r.resource_limited for r in report.records if not r.ok)
-    return EXIT_RESOURCE if limited else EXIT_VIOLATION
+    if all(r.resource_limited for r in report.records if not r.ok):
+        raise ResourceLimitError(f"{report.failed} of {len(report.records)} instances ran out of a budget")
+    return EXIT_VIOLATION
 
 
 def cmd_oracle_check(args) -> int:
@@ -411,10 +412,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (GraphParseError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (GraphParseError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

@@ -9,7 +9,9 @@ A Graph certifies its 2-connectivity once. ``Graph.two_connectivity_failure``
 caches what the function of that name returns, and ``is_two_connected``,
 ``require_two_connected`` and ``solvers.longest_cycle`` read it; the cut
 vertices are cached too, so ``NotTwoConnectedError`` names one without a
-second sweep.
+second sweep. ``validate_path`` and ``validate_cycle`` share one bitmask
+walk over ``Graph.adjacency_bits``, a cycle adding its closing edge, and
+``Path.positions`` (vertex -> index) is built once per path.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ class Path:
     @property
     def end(self) -> int:
         return self.vertices[-1]
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """vertex -> index along the path; built once and shared, so read only."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
 
 @dataclass(frozen=True)
@@ -282,40 +289,41 @@ def require_two_connected(g: Graph) -> None:
         )
 
 
+def _certified(g: Graph, vs: Sequence[int], cls: type, error: type[Exception]):
+    """vs certified as a cls (Path or Cycle, whose distinctness check is skipped), or
+    error at the first fault: range and repeats first, so a negative id never indexes adj."""
+    vs = tuple(vs)
+    n = g.n
+    seen = 0
+    for v in vs:
+        if not 0 <= v < n:
+            raise error(f"vertex {v} out of range [0, {n})")
+        if seen >> v & 1:
+            raise error(f"repeated vertex {v}")
+        seen |= 1 << v
+    adj = g.adjacency_bits
+    for u, v in zip(vs, vs[1:]):
+        if not adj[u] >> v & 1:
+            raise error(f"consecutive vertices {u} and {v} are not adjacent")
+    if cls is Cycle and not adj[vs[-1]] >> vs[0] & 1:
+        raise error(f"missing closing edge {vs[-1]}-{vs[0]}")
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "vertices", vs)
+    return obj
+
+
 def validate_path(g: Graph, vs: Sequence[int]) -> Path:
     """Certify vs as a path of g; orientation is preserved."""
     if len(vs) == 0:
         raise PathValidationError("empty vertex sequence")
-    seen: set[int] = set()
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise PathValidationError(f"vertex {v} out of range [0, {g.n})")
-        if v in seen:
-            raise PathValidationError(f"repeated vertex {v}")
-        seen.add(v)
-    for u, v in zip(vs, vs[1:]):
-        if not g.has_edge(u, v):
-            raise PathValidationError(f"consecutive vertices {u} and {v} are not adjacent")
-    return Path(vs)
+    return _certified(g, vs, Path, PathValidationError)
 
 
 def validate_cycle(g: Graph, vs: Sequence[int]) -> Cycle:
     """Certify vs as a cycle of g (wrap-around edge included, length >= 3)."""
     if len(vs) < 3:
         raise CycleValidationError(f"cycle needs at least 3 vertices, got {len(vs)}")
-    seen: set[int] = set()
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise CycleValidationError(f"vertex {v} out of range [0, {g.n})")
-        if v in seen:
-            raise CycleValidationError(f"repeated vertex {v}")
-        seen.add(v)
-    for u, v in zip(vs, vs[1:]):
-        if not g.has_edge(u, v):
-            raise CycleValidationError(f"consecutive vertices {u} and {v} are not adjacent")
-    if not g.has_edge(vs[-1], vs[0]):
-        raise CycleValidationError(f"missing closing edge {vs[-1]}-{vs[0]}")
-    return Cycle(vs)
+    return _certified(g, vs, Cycle, CycleValidationError)
 
 
 def canonical_cycle(vs: Sequence[int]) -> tuple[int, ...]:

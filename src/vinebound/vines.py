@@ -101,10 +101,6 @@ class VineEnumeration:
     truncated: bool
 
 
-def _position_map(p: Path) -> dict[int, int]:
-    return {v: i for i, v in enumerate(p.vertices)}
-
-
 def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
     """All ears on p, ordered by (first attachment position, second
     attachment position, interior sequence).
@@ -114,8 +110,7 @@ def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
     here only shrinks the search space.
     """
     validate_path(g, p.vertices)
-    pos = _position_map(p)
-    on_path = set(p.vertices)
+    pos = p.positions
     nbrs = g.neighbors
     ears: list[Ear] = []
 
@@ -126,7 +121,7 @@ def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
 
     for u in p.vertices:
         for w in nbrs[u]:
-            if w in on_path:
+            if w in pos:
                 # chord: skip edges of p (position gap 1) and emit once (u before w)
                 if pos[w] > pos[u] + 1:
                     record((u, w))
@@ -138,7 +133,7 @@ def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
             todo = [iter(nbrs[w])]
             while todo:
                 for t in todo[-1]:
-                    if t in on_path:
+                    if t in pos:
                         if t != u and pos[t] > pos[u]:
                             record(tuple(trail) + (t,))
                     elif t not in visited:
@@ -153,14 +148,12 @@ def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
     return ears
 
 
-def _chain_failure(pos: dict[int, int], ears: tuple[Ear, ...], last_pos: int) -> str | None:
+def _chain_failure(xs: list[int], ys: list[int], last_pos: int) -> str | None:
     """First broken link of the interleaving chain, or None if it holds.
 
-    Assumes every attachment is on the path (callers check that first).
+    xs and ys are the ears' first and second attachment positions.
     """
-    m = len(ears)
-    xs = [pos[e.x_attach] for e in ears]
-    ys = [pos[e.y_attach] for e in ears]
+    m = len(xs)
     for i in range(m):
         if xs[i] >= ys[i]:
             return f"ear {i + 1} attachments are not oriented along the path"
@@ -194,16 +187,15 @@ def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
         return VineVerdict(False, "base", f"base path invalid: {exc}")
     if vine.m == 0:
         return VineVerdict(False, "empty", "a vine needs at least one ear")
-    pos = _position_map(p)
-    on_path = set(p.vertices)
+    pos = p.positions
     for i, ear in enumerate(vine.ears, start=1):
         try:
             validate_path(g, ear.vertices)
         except PathValidationError as exc:
             return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
-        if ear.x_attach not in on_path or ear.y_attach not in on_path:
+        if ear.x_attach not in pos or ear.y_attach not in pos:
             return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
-        inside = [v for v in ear.interior if v in on_path]
+        inside = [v for v in ear.interior if v in pos]
         if inside:
             return VineVerdict(
                 False, "interior", f"ear {i} interior vertex {inside[0]} lies on the base path", (i,)
@@ -223,7 +215,9 @@ def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
                     (used[v], i),
                 )
             used[v] = i
-    broken = _chain_failure(pos, vine.ears, len(p.vertices) - 1)
+    xs = [pos[e.x_attach] for e in vine.ears]
+    ys = [pos[e.y_attach] for e in vine.ears]
+    broken = _chain_failure(xs, ys, len(p.vertices) - 1)
     if broken is not None:
         return VineVerdict(False, "chain", broken)
     return VineVerdict(True)
@@ -236,7 +230,7 @@ def _iter_vines(
 ) -> Iterator[Vine]:
     """Yield vines breadth-first: by ear count, then lexicographically by
     ear index in the enumerate_ears order."""
-    pos = _position_map(p)
+    pos = p.positions
     last_pos = len(p.vertices) - 1
     xs = [pos[e.x_attach] for e in ears]
     ys = [pos[e.y_attach] for e in ears]
@@ -281,7 +275,6 @@ def find_min_vine(
     """A vine with the minimum possible number of ears; deterministic
     (breadth-first, so the lexicographically first minimum-size vine)."""
     require_two_connected(g)
-    validate_path(g, p.vertices)
     ears = enumerate_ears(g, p, cap=ear_cap)
     for vine in _iter_vines(p, ears, state_cap):
         return vine
@@ -303,7 +296,6 @@ def enumerate_vines(
     if max_count < 1:
         raise PreconditionError("max_count must be positive")
     require_two_connected(g)
-    validate_path(g, p.vertices)
     ears = enumerate_ears(g, p, cap=ear_cap)
     vines: list[Vine] = []
     truncated = False

@@ -2,11 +2,13 @@
 
 These deliberately avoid the package's search and DP code: plain
 exhaustive enumeration, used to compute and freeze expected test values.
+The set-based path and cycle certifiers at the end are the reference the
+package's bitmask certifier is checked against.
 """
 
 from __future__ import annotations
 
-from vinebound import Graph
+from vinebound import Cycle, CycleValidationError, Graph, Path, PathValidationError
 
 
 def brute_connected(g: Graph, removed: int | None = None) -> bool:
@@ -104,3 +106,40 @@ def brute_longest_cycle_witness(g: Graph) -> tuple[int, ...]:
     """Canonical form of the optimal cycle per the tie-break contract."""
     best_len = brute_longest_cycle_length(g)
     return min(seq for seq in iter_simple_cycles(g) if len(seq) == best_len)
+
+
+def reference_validate_path(g: Graph, vs) -> Path:
+    """The set-based path certifier the bitmask walk replaced, kept as the
+    reference it must agree with: same result, or same error and message."""
+    if len(vs) == 0:
+        raise PathValidationError("empty vertex sequence")
+    seen: set[int] = set()
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise PathValidationError(f"vertex {v} out of range [0, {g.n})")
+        if v in seen:
+            raise PathValidationError(f"repeated vertex {v}")
+        seen.add(v)
+    for u, v in zip(vs, vs[1:]):
+        if not g.has_edge(u, v):
+            raise PathValidationError(f"consecutive vertices {u} and {v} are not adjacent")
+    return Path(vs)
+
+
+def reference_validate_cycle(g: Graph, vs) -> Cycle:
+    """The set-based cycle certifier the bitmask walk replaced."""
+    if len(vs) < 3:
+        raise CycleValidationError(f"cycle needs at least 3 vertices, got {len(vs)}")
+    seen: set[int] = set()
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise CycleValidationError(f"vertex {v} out of range [0, {g.n})")
+        if v in seen:
+            raise CycleValidationError(f"repeated vertex {v}")
+        seen.add(v)
+    for u, v in zip(vs, vs[1:]):
+        if not g.has_edge(u, v):
+            raise CycleValidationError(f"consecutive vertices {u} and {v} are not adjacent")
+    if not g.has_edge(vs[-1], vs[0]):
+        raise CycleValidationError(f"missing closing edge {vs[-1]}-{vs[0]}")
+    return Cycle(vs)

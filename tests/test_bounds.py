@@ -28,6 +28,7 @@ from vinebound import (
     validate_path,
     verify_all_longest_paths,
     verify_all_vines,
+    verify_vine,
     verify_vine_against,
 )
 from vinebound.families import (
@@ -101,6 +102,25 @@ def test_decompose_rejects_broken_chain(x2):
     p = validate_path(x2, range(7))
     with pytest.raises(PreconditionError, match="chain"):
         decompose(Vine(p, [Ear((0, 3)), Ear((3, 6))]))
+
+
+def test_decompose_rejects_attachment_off_path(x2):
+    p = validate_path(x2, [0, 1, 2, 3])
+    with pytest.raises(PreconditionError) as err:
+        decompose(Vine(p, [Ear((0, 3)), Ear((1, 5))]))  # 5 is not on p
+    assert str(err.value) == "vine attachment off the base path"
+
+
+def test_broken_chain_messages(x2):
+    # x_2 = 3 must come strictly before y_1 = 3
+    vine = Vine(validate_path(x2, range(7)), [Ear((0, 3)), Ear((3, 6))])
+    with pytest.raises(PreconditionError) as err:
+        decompose(vine)
+    assert str(err.value) == (
+        "vine does not satisfy the interleaving chain: need x_2 < y_1, got positions 3, 3"
+    )
+    verdict = verify_vine(x2, vine)
+    assert (verdict.clause, verdict.detail) == ("chain", "need x_2 < y_1, got positions 3, 3")
 
 
 # ------------------------------------------------------------------

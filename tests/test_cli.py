@@ -317,6 +317,17 @@ def test_fuzz_exit_code_beside_a_budget_failure(capsys, monkeypatch, second, exp
     assert "summary: 1/3 passed, 2 violations" in capsys.readouterr().out
 
 
+def test_fuzz_budget_human_output(capsys):
+    """Instances out of budget read BUDGET, not VIOLATION, and the exit 3
+    comes with one resource-limit line on stderr."""
+    code = main(["fuzz", "--count", "8", "--nmin", "4", "--nmax", "12", "--seed", "1",
+                 "--node-budget", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out.count(" BUDGET\n") == 4 and "VIOLATION" not in captured.out
+    assert captured.err == "resource limit: 4 of 8 instances ran out of a budget\n"
+
+
 # ------------------------------------------------------------------
 # oracle-check
 # ------------------------------------------------------------------

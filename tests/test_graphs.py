@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from vinebound import (
@@ -270,6 +272,18 @@ def test_validate_path_non_adjacent(x1):
 def test_validate_path_out_of_range(triangle):
     with pytest.raises(PathValidationError, match="range"):
         validate_path(triangle, [0, 3])
+
+
+def test_path_positions_leave_equality_hash_and_pickle_alone(x1):
+    p = validate_path(x1, [0, 3, 4, 1])
+    assert p.positions == {0: 0, 3: 1, 4: 2, 1: 3}
+    assert p.positions is p.positions
+    fresh = Path([0, 3, 4, 1])
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    # worker processes send paths back pickled, cached map included
+    back = pickle.loads(pickle.dumps(p))
+    assert back == fresh and hash(back) == hash(fresh)
+    assert back.positions == p.positions
 
 
 def test_validate_cycle_triangle(triangle):

@@ -1,9 +1,12 @@
 """Property suites over seeded random instances."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vinebound import (
+    CycleValidationError,
     Graph,
+    PathValidationError,
     analyze,
     circumference_bound_squared,
     decompose,
@@ -23,7 +26,8 @@ from vinebound import (
     verify_vine,
 )
 
-from bruteforce import brute_two_connected
+from bruteforce import brute_two_connected, reference_validate_cycle, reference_validate_path
+from conftest import complete_graph, cycle_graph
 
 
 edge_sets = st.integers(3, 9).flatmap(
@@ -74,6 +78,86 @@ def test_search_matches_oracle(params):
         assert cyc.length == longest_cycle_oracle(g)
         assert cyc.length <= g.n
         validate_cycle(g, cyc.vertices)
+
+
+def _certify_outcome(certify, g, vs):
+    """The certified object, or the error's type and message."""
+    try:
+        return certify(g, vs)
+    except (PathValidationError, CycleValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_certifiers_agree(g, vs):
+    for certify, reference in (
+        (validate_path, reference_validate_path),
+        (validate_cycle, reference_validate_cycle),
+    ):
+        got = _certify_outcome(certify, g, vs)
+        assert got == _certify_outcome(reference, g, vs)
+        if not isinstance(got, tuple):
+            assert type(got.vertices) is tuple
+
+
+@st.composite
+def graphs_and_walks(draw):
+    """A graph with a vertex sequence that may stray out of range, repeat,
+    skip an edge or miss the closing edge, as a list, tuple or range."""
+    n, edges = draw(edge_sets)
+    kind = draw(st.sampled_from(("ring", "walk", "ints", "range")))
+    if kind == "ring":
+        # a planted cycle, walked whole or up to some vertex
+        ring = tuple(draw(st.permutations(range(n))))[: draw(st.integers(3, n))]
+        edges = edges | {(ring[i - 1], ring[i]) for i in range(len(ring))}
+        vs = list(ring[: draw(st.integers(1, len(ring)))])
+    g = Graph(n, edges)
+    if kind == "walk":
+        vs = [draw(st.integers(0, n - 1))]
+        for _ in range(draw(st.integers(2, n))):
+            if not g.neighbors[vs[-1]]:
+                break
+            vs.append(draw(st.sampled_from(g.neighbors[vs[-1]])))
+    if kind in ("ring", "walk"):
+        # maybe overwrite one vertex with any id
+        if draw(st.booleans()):
+            vs[draw(st.integers(0, len(vs) - 1))] = draw(st.integers(-3, n + 2))
+        vs = tuple(vs)
+    elif kind == "ints":
+        vs = draw(st.lists(st.integers(-3, n + 2), min_size=1, max_size=n + 2))
+    else:
+        start = draw(st.integers(-2, n))
+        vs = range(start, draw(st.integers(start, n + 2)))
+    return g, vs
+
+
+@given(graphs_and_walks())
+@settings(max_examples=300, deadline=None)
+def test_certifiers_match_set_based_reference(params):
+    _assert_certifiers_agree(*params)
+
+
+@pytest.mark.parametrize(
+    "g, vs",
+    [
+        (cycle_graph(4), [-1, 0]),  # adjacency_bits[-1] is vertex 3, a neighbour of 0
+        (cycle_graph(4), [-1, 0, 1]),
+        (cycle_graph(4), [0, 1, 2, -4]),
+        (cycle_graph(4), [3, 0, 4]),
+        (cycle_graph(4), [0, 2, 5]),  # range fault found before the earlier adjacency fault
+        (cycle_graph(4), [0, 2, 0]),  # repeat found before the adjacency fault
+        (cycle_graph(5), [0, 1, 2]),  # missing closing edge
+        (cycle_graph(5), range(5)),
+        (cycle_graph(5), range(1, 4)),
+        (cycle_graph(5), range(3, 6)),
+        (cycle_graph(5), range(0)),
+        (complete_graph(4), []),
+        (complete_graph(4), [2]),
+        (complete_graph(4), (3, 1)),
+        (complete_graph(4), (3, 1, 0, 2)),
+    ],
+)
+def test_certifiers_match_set_based_reference_cases(g, vs):
+    _assert_certifiers_agree(g, vs)
 
 
 @given(two_connected_params)
