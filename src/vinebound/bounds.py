@@ -17,6 +17,11 @@ b_i for the segment lengths, three cycle families exist by construction:
     qstar  = B_{m/2} + B_{m/2-1} + A_{m/2} + ear m/2   (even m; B_0 is
              taken to be the empty segment, which covers m = 2).
 
+All three are ladders: the ladder over ears s..t runs forward along ears
+s+1, s+3, ... and back along the others down to s, joined by base-path
+runs, so q0, q_j and qstar are the ladders over ears 1..m, j+1..m-j and
+m/2 alone.
+
 Each is a simple cycle, so its length is at most the circumference c.
 With slack y = c - m - 2 (non-negative because q0 shows c >= m + 2) the
 cycle lengths force the segment inequalities
@@ -49,9 +54,9 @@ from .solvers import SolveLimits, DEFAULT_LIMITS, all_longest_paths, longest_cyc
 from .vines import (
     Vine,
     _chain_failure,
+    _vine_verdict,
     enumerate_vines,
     find_min_vine,
-    verify_vine,
 )
 
 
@@ -125,40 +130,22 @@ def decompose(vine: Vine) -> SegmentDecomposition:
     return SegmentDecomposition(vine, a, b, tuple(a_spans), tuple(b_spans))
 
 
-def _stitch_cycle(pieces) -> list[int]:
-    """Join edge-disjoint path pieces whose endpoints pair up (each junction
-    touches exactly two piece ends) into one closed walk."""
-    live = [tuple(piece) for piece in pieces if len(piece) >= 2]
-    if len(live) < 2:
-        raise InternalInvariantError("cycle assembly needs at least two non-empty pieces")
-    ends: dict[int, list[int]] = {}
-    for i, piece in enumerate(live):
-        ends.setdefault(piece[0], []).append(i)
-        ends.setdefault(piece[-1], []).append(i)
-    for v, touching in ends.items():
-        if len(touching) != 2:
-            raise InternalInvariantError(
-                f"cycle assembly: junction {v} touches {len(touching)} piece ends, expected 2"
-            )
-    used = [False] * len(live)
-    walk = list(live[0])
-    used[0] = True
-    start = walk[0]
-    for _ in range(len(live) - 1):
-        cur = walk[-1]
-        candidates = [i for i in ends[cur] if not used[i]]
-        if len(candidates) != 1:
-            raise InternalInvariantError(f"cycle assembly stuck at junction {cur}")
-        i = candidates[0]
-        piece = live[i]
-        if piece[0] == cur:
-            walk.extend(piece[1:])
-        else:
-            walk.extend(piece[-2::-1])
-        used[i] = True
-    if walk[-1] != start:
-        raise InternalInvariantError("cycle assembly did not close")
-    return walk[:-1]
+def _ladder(vine: Vine, s: int, t: int) -> list[int]:
+    """The ladder over the 0-based ears s..t, from ear s's first attachment;
+    the way back starts at t or t-1, whichever has s's parity."""
+    base = vine.base.vertices
+    pos = vine.base.positions
+    ears = vine.ears
+    runs = [ears[k].vertices for k in range(s + 1, t + 1, 2)]
+    runs += [ears[k].vertices[::-1] for k in range(t - (t - s) % 2, s - 1, -2)]
+    walk: list[int] = []
+    here = pos[ears[s].x_attach]
+    for run in runs:
+        there = pos[run[0]]
+        walk += base[here:there] if here <= there else base[here:there:-1]
+        walk += run[:-1]
+        here = pos[run[-1]]
+    return walk
 
 
 def _certify(g: Graph, vertices, expected_len: int, label: str) -> Cycle:
@@ -175,10 +162,8 @@ def _certify(g: Graph, vertices, expected_len: int, label: str) -> Cycle:
 
 def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
     """Cycle through every ear and every A segment; length sum(ears) + sum(a)."""
-    pieces = [d.a_vertices(i) for i in range(1, d.m + 1)]
-    pieces += [ear.vertices for ear in d.vine.ears]
     expected = sum(ear.length for ear in d.vine.ears) + sum(d.a)
-    return _certify(g, _stitch_cycle(pieces), expected, "q0 cycle")
+    return _certify(g, _ladder(d.vine, 0, d.m - 1), expected, "q0 cycle")
 
 
 def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
@@ -186,15 +171,12 @@ def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
     m = d.m
     if not 1 <= j <= (m - 1) // 2:
         raise PreconditionError(f"j must lie in [1, {(m - 1) // 2}] for m={m}, got {j}")
-    pieces = [d.a_vertices(i) for i in range(j + 1, m - j + 1)]
-    pieces += [d.vine.ears[i - 1].vertices for i in range(j + 1, m - j + 1)]
-    pieces += [d.b_vertices(j), d.b_vertices(m - j)]
     expected = (
         sum(d.vine.ears[i - 1].length + d.a[i - 1] for i in range(j + 1, m - j + 1))
         + d.b[j - 1]
         + d.b[m - j - 1]
     )
-    return _certify(g, _stitch_cycle(pieces), expected, f"q{j} cycle")
+    return _certify(g, _ladder(d.vine, j, m - j - 1), expected, f"q{j} cycle")
 
 
 def build_qstar(g: Graph, d: SegmentDecomposition) -> Cycle:
@@ -204,12 +186,10 @@ def build_qstar(g: Graph, d: SegmentDecomposition) -> Cycle:
     if m % 2 != 0:
         raise PreconditionError(f"qstar needs an even ear count, got m={m}")
     h = m // 2
-    pieces = [d.b_vertices(h), d.a_vertices(h), d.vine.ears[h - 1].vertices]
     expected = d.b[h - 1] + d.a[h - 1] + d.vine.ears[h - 1].length
     if h >= 2:
-        pieces.append(d.b_vertices(h - 1))
         expected += d.b[h - 2]
-    return _certify(g, _stitch_cycle(pieces), expected, "qstar cycle")
+    return _certify(g, _ladder(d.vine, h - 1, h - 1), expected, "qstar cycle")
 
 
 @dataclass(frozen=True)
@@ -441,9 +421,11 @@ def verify_all_vines(
     max_vines); returns (vines checked, truncated?, violations)."""
     enumeration = enumerate_vines(g, p, max_count=max_vines)
     violations: list[str] = []
+    faults: dict = {}  # one certification per distinct ear, shared by every vine
     for idx, vine in enumerate(enumeration.vines):
         verdict = verify_vine_against(g, p, l, c, vine)
-        inner = verify_vine(g, vine)
+        # enumerate_vines has certified p, the base of every vine it yields
+        inner = _vine_verdict(g, vine, faults)
         if not inner.ok:
             violations.append(f"vine #{idx} fails its own validity check: {inner.detail}")
         for v in verdict.violations:

@@ -178,49 +178,67 @@ def _chain_failure(xs: list[int], ys: list[int], last_pos: int) -> str | None:
     return None
 
 
-def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
-    """Check every vine condition; report the first violated clause."""
-    p = vine.base
+def _ear_fault(g: Graph, pos: dict[int, int], ear: Ear) -> tuple[str, str] | int:
+    """The ear's first fault against g and the base path's positions, as
+    (clause, detail after "ear i "), or the bitmask of its interior."""
     try:
-        validate_path(g, p.vertices)
+        validate_path(g, ear.vertices)
     except PathValidationError as exc:
-        return VineVerdict(False, "base", f"base path invalid: {exc}")
+        return "ear", f"is not a path of the graph: {exc}"
+    if ear.x_attach not in pos or ear.y_attach not in pos:
+        return "attachment", "attachment off the base path"
+    mask = 0
+    for v in ear.interior:
+        if v in pos:
+            return "interior", f"interior vertex {v} lies on the base path"
+        mask |= 1 << v
+    if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
+        return "base-edge", "is an edge of the base path itself"
+    return mask
+
+
+def _vine_verdict(
+    g: Graph, vine: Vine, faults: dict[tuple[int, ...], tuple[str, str] | int]
+) -> VineVerdict:
+    """verify_vine on a certified base path. faults maps the vertices of
+    each ear already seen on this graph and base path to its _ear_fault
+    result, so an ear shared by many vines is certified once."""
     if vine.m == 0:
         return VineVerdict(False, "empty", "a vine needs at least one ear")
-    pos = p.positions
+    pos = vine.base.positions
+    masks = []
     for i, ear in enumerate(vine.ears, start=1):
-        try:
-            validate_path(g, ear.vertices)
-        except PathValidationError as exc:
-            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
-        if ear.x_attach not in pos or ear.y_attach not in pos:
-            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
-        inside = [v for v in ear.interior if v in pos]
-        if inside:
+        fault = faults.get(ear.vertices)
+        if fault is None:
+            fault = faults[ear.vertices] = _ear_fault(g, pos, ear)
+        if type(fault) is tuple:
+            return VineVerdict(False, fault[0], f"ear {i} {fault[1]}", (i,))
+        masks.append(fault)
+    used = 0
+    for i, mask in enumerate(masks, start=1):
+        if used & mask:
+            # name the first shared vertex of ear i and the first ear holding it
+            v = next(v for v in vine.ears[i - 1].interior if used >> v & 1)
+            first = next(k for k, other in enumerate(masks, start=1) if other >> v & 1)
             return VineVerdict(
-                False, "interior", f"ear {i} interior vertex {inside[0]} lies on the base path", (i,)
+                False, "overlap", f"ears {first} and {i} share interior vertex {v}", (first, i)
             )
-        if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
-            return VineVerdict(
-                False, "base-edge", f"ear {i} is an edge of the base path itself", (i,)
-            )
-    used: dict[int, int] = {}
-    for i, ear in enumerate(vine.ears, start=1):
-        for v in ear.interior:
-            if v in used:
-                return VineVerdict(
-                    False,
-                    "overlap",
-                    f"ears {used[v]} and {i} share interior vertex {v}",
-                    (used[v], i),
-                )
-            used[v] = i
+        used |= mask
     xs = [pos[e.x_attach] for e in vine.ears]
     ys = [pos[e.y_attach] for e in vine.ears]
-    broken = _chain_failure(xs, ys, len(p.vertices) - 1)
+    broken = _chain_failure(xs, ys, len(vine.base.vertices) - 1)
     if broken is not None:
         return VineVerdict(False, "chain", broken)
     return VineVerdict(True)
+
+
+def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
+    """Check every vine condition; report the first violated clause."""
+    try:
+        validate_path(g, vine.base.vertices)
+    except PathValidationError as exc:
+        return VineVerdict(False, "base", f"base path invalid: {exc}")
+    return _vine_verdict(g, vine, {})
 
 
 def _iter_vines(

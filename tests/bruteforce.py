@@ -3,12 +3,25 @@
 These deliberately avoid the package's search and DP code: plain
 exhaustive enumeration, used to compute and freeze expected test values.
 The set-based path and cycle certifiers at the end are the reference the
-package's bitmask certifier is checked against.
+package's bitmask certifier is checked against; the piece-stitching cycle
+builders and the dict-based vine check after them are the references for
+the ladder walk and for the once-per-ear vine check.
 """
 
 from __future__ import annotations
 
-from vinebound import Cycle, CycleValidationError, Graph, Path, PathValidationError
+from vinebound import (
+    Cycle,
+    CycleValidationError,
+    Graph,
+    Path,
+    PathValidationError,
+    SegmentDecomposition,
+    Vine,
+    VineVerdict,
+    validate_path,
+)
+from vinebound.vines import _chain_failure
 
 
 def brute_connected(g: Graph, removed: int | None = None) -> bool:
@@ -143,3 +156,97 @@ def reference_validate_cycle(g: Graph, vs) -> Cycle:
     if not g.has_edge(vs[-1], vs[0]):
         raise CycleValidationError(f"missing closing edge {vs[-1]}-{vs[0]}")
     return Cycle(vs)
+
+
+def _stitch_cycle(pieces) -> tuple[int, ...]:
+    """Join edge-disjoint path pieces whose endpoints pair up (each junction
+    touches exactly two piece ends) into one closed walk."""
+    live = [tuple(piece) for piece in pieces if len(piece) >= 2]
+    assert len(live) >= 2, "cycle assembly needs at least two non-empty pieces"
+    ends: dict[int, list[int]] = {}
+    for i, piece in enumerate(live):
+        ends.setdefault(piece[0], []).append(i)
+        ends.setdefault(piece[-1], []).append(i)
+    assert all(len(touching) == 2 for touching in ends.values()), ends
+    used = [False] * len(live)
+    walk = list(live[0])
+    used[0] = True
+    for _ in range(len(live) - 1):
+        cur = walk[-1]
+        candidates = [i for i in ends[cur] if not used[i]]
+        assert len(candidates) == 1, f"cycle assembly stuck at junction {cur}"
+        i = candidates[0]
+        piece = live[i]
+        walk.extend(piece[1:] if piece[0] == cur else piece[-2::-1])
+        used[i] = True
+    assert walk[-1] == walk[0], "cycle assembly did not close"
+    return tuple(walk[:-1])
+
+
+def reference_build_q0(d: SegmentDecomposition) -> tuple[int, ...]:
+    """q0 stitched from its pieces: every A segment and every ear."""
+    pieces = [d.a_vertices(i) for i in range(1, d.m + 1)]
+    return _stitch_cycle(pieces + [ear.vertices for ear in d.vine.ears])
+
+
+def reference_build_qj(d: SegmentDecomposition, j: int) -> tuple[int, ...]:
+    """q_j stitched from A_i and ear i for i in [j+1, m-j], B_j and B_{m-j}."""
+    m = d.m
+    pieces = [d.a_vertices(i) for i in range(j + 1, m - j + 1)]
+    pieces += [d.vine.ears[i - 1].vertices for i in range(j + 1, m - j + 1)]
+    return _stitch_cycle(pieces + [d.b_vertices(j), d.b_vertices(m - j)])
+
+
+def reference_build_qstar(d: SegmentDecomposition) -> tuple[int, ...]:
+    """qstar stitched from B_{m/2}, A_{m/2}, ear m/2 and B_{m/2-1} (none for m = 2)."""
+    h = d.m // 2
+    pieces = [d.b_vertices(h), d.a_vertices(h), d.vine.ears[h - 1].vertices]
+    if h >= 2:
+        pieces.append(d.b_vertices(h - 1))
+    return _stitch_cycle(pieces)
+
+
+def reference_verify_vine(g: Graph, vine: Vine) -> VineVerdict:
+    """The vine check that certified every ear again for each vine and
+    found overlaps with a dict, kept as the reference for its verdicts."""
+    p = vine.base
+    try:
+        validate_path(g, p.vertices)
+    except PathValidationError as exc:
+        return VineVerdict(False, "base", f"base path invalid: {exc}")
+    if vine.m == 0:
+        return VineVerdict(False, "empty", "a vine needs at least one ear")
+    pos = p.positions
+    for i, ear in enumerate(vine.ears, start=1):
+        try:
+            validate_path(g, ear.vertices)
+        except PathValidationError as exc:
+            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
+        if ear.x_attach not in pos or ear.y_attach not in pos:
+            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
+        inside = [v for v in ear.interior if v in pos]
+        if inside:
+            return VineVerdict(
+                False, "interior", f"ear {i} interior vertex {inside[0]} lies on the base path", (i,)
+            )
+        if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
+            return VineVerdict(
+                False, "base-edge", f"ear {i} is an edge of the base path itself", (i,)
+            )
+    used: dict[int, int] = {}
+    for i, ear in enumerate(vine.ears, start=1):
+        for v in ear.interior:
+            if v in used:
+                return VineVerdict(
+                    False,
+                    "overlap",
+                    f"ears {used[v]} and {i} share interior vertex {v}",
+                    (used[v], i),
+                )
+            used[v] = i
+    xs = [pos[e.x_attach] for e in vine.ears]
+    ys = [pos[e.y_attach] for e in vine.ears]
+    broken = _chain_failure(xs, ys, len(p.vertices) - 1)
+    if broken is not None:
+        return VineVerdict(False, "chain", broken)
+    return VineVerdict(True)

@@ -19,8 +19,13 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("analyze_x1.json", ["analyze", "x1.txt", "--json", "-"]),
     ("analyze_x2.json", ["analyze", "x2.txt", "--json", "-"]),
+    ("analyze_x2_all_vines.json", ["analyze", "x2.txt", "--all-vines", "200", "--json", "-"]),
     ("fuzz_seed7.json",
      ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7", "--json", "-"]),
+    # dense instances: 527 vines checked, two enumerations cut at the cap of 200
+    ("fuzz_dense_seed11.json",
+     ["fuzz", "--count", "10", "--nmin", "18", "--nmax", "22", "--extra-min", "30",
+      "--extra-max", "40", "--seed", "11", "--json", "-"]),
     ("oracle_check_seed3.json",
      ["oracle-check", "--count", "20", "--nmax", "11", "--seed", "3", "--json", "-"]),
 ]

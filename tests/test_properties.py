@@ -5,11 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from vinebound import (
     CycleValidationError,
+    Ear,
     Graph,
     PathValidationError,
+    Vine,
     analyze,
+    build_q0,
+    build_qj,
+    build_qstar,
+    canonical_cycle,
     circumference_bound_squared,
     decompose,
+    enumerate_ears,
     enumerate_vines,
     find_min_vine,
     is_connected,
@@ -26,7 +33,18 @@ from vinebound import (
     verify_vine,
 )
 
-from bruteforce import brute_two_connected, reference_validate_cycle, reference_validate_path
+from vinebound.families import ExtremalSpec, extremal_graph
+from vinebound.vines import _vine_verdict
+
+from bruteforce import (
+    brute_two_connected,
+    reference_build_q0,
+    reference_build_qj,
+    reference_build_qstar,
+    reference_validate_cycle,
+    reference_validate_path,
+    reference_verify_vine,
+)
 from conftest import complete_graph, cycle_graph
 
 
@@ -221,3 +239,98 @@ def test_analyze_is_deterministic(params):
     assert a.cycle.vertices == b.cycle.vertices
     assert [e.vertices for e in a.vine.ears] == [e.vertices for e in b.vine.ears]
     assert (a.l, a.c, a.m, a.slack, a.bound) == (b.l, b.c, b.m, b.slack, b.bound)
+
+
+def _assert_constructions_match_reference(g, vine):
+    """q0 in the stitched vertex order; q_j and qstar up to rotation and reflection."""
+    d = decompose(vine)
+    q0 = build_q0(g, d)
+    assert q0.vertices == reference_build_q0(d)
+    for j in range(1, (d.m - 1) // 2 + 1):
+        qj, ref = build_qj(g, d, j), reference_build_qj(d, j)
+        assert canonical_cycle(qj.vertices) == canonical_cycle(ref)
+        assert qj.length == len(ref)
+    if d.m % 2 == 0:
+        qstar, ref = build_qstar(g, d), reference_build_qstar(d)
+        assert canonical_cycle(qstar.vertices) == canonical_cycle(ref)
+        assert qstar.length == len(ref)
+
+
+@st.composite
+def graphs_and_base_paths(draw):
+    """A seeded 2-connected graph with a prefix of its longest path as the
+    base path, so that off-path vertices give ears with interiors."""
+    n, extra, seed = draw(st.tuples(st.integers(3, 10), st.integers(0, 8), st.integers(0, 2**32)))
+    g, _ = random_two_connected(n, extra, seed)
+    vertices = longest_path(g).vertices
+    return g, validate_path(g, vertices[: draw(st.integers(2, len(vertices)))])
+
+
+@given(graphs_and_base_paths())
+@settings(max_examples=100, deadline=None)
+def test_cycle_constructions_match_stitched_reference(params):
+    g, p = params
+    for vine in enumerate_vines(g, p, max_count=40).vines:
+        if vine.m >= 2:
+            _assert_constructions_match_reference(g, vine)
+
+
+def test_cycle_constructions_match_stitched_reference_on_extremal_grid():
+    for m in range(2, 21):
+        for slack in (0, 2, 4):
+            g, spine, planted = extremal_graph(ExtremalSpec(m, slack))
+            for vine in (planted,) + enumerate_vines(g, spine, max_count=20).vines:
+                if vine.m >= 2:
+                    _assert_constructions_match_reference(g, vine)
+
+
+def _with_one_fault(data, g, vine, ears):
+    """vine with one fault drawn from: an ear swapped for another enumerated
+    ear, two ears reordered, an interior vertex overwritten, a base-path
+    edge used as an ear, an attachment moved off the path, an ear repeated."""
+    base = vine.base.vertices
+    out = list(vine.ears)
+    k = data.draw(st.integers(0, len(out) - 1))
+    kind = data.draw(st.sampled_from(
+        ("swap", "reorder", "interior", "base-edge", "off-path", "repeat")
+    ))
+    if kind == "swap":
+        out[k] = data.draw(st.sampled_from(ears))
+    elif kind == "reorder":
+        other = data.draw(st.integers(0, len(out) - 1))
+        out[k], out[other] = out[other], out[k]
+    elif kind == "repeat":
+        out.insert(data.draw(st.integers(0, len(out))), out[k])
+    elif kind == "base-edge":
+        i = data.draw(st.integers(0, len(base) - 2))
+        out[k] = Ear(base[i : i + 2])
+    else:
+        vs = list(out[k].vertices)
+        if kind == "interior":
+            slots = range(1, len(vs) - 1)
+            pool = set(base).union(*(e.interior for e in out))
+        else:
+            slots = (0, len(vs) - 1)
+            pool = set(range(g.n)) - set(base)
+        pool -= set(vs)
+        if slots and pool:
+            slot = data.draw(st.sampled_from(slots))
+            # prefer a vertex that keeps the ear a path, so later clauses are reached
+            kept = {v for v in pool if all(g.has_edge(v, vs[i]) for i in (slot - 1, slot + 1)
+                                           if 0 <= i < len(vs))}
+            vs[slot] = data.draw(st.sampled_from(sorted(kept or pool)))
+            out[k] = Ear(vs)
+    return Vine(vine.base, out)
+
+
+@given(graphs_and_base_paths(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_vine_verdicts_match_reference_under_one_fault(params, data):
+    g, p = params
+    ears = enumerate_ears(g, p)
+    faults = {}  # shared across the vines, as verify_all_vines shares it
+    for vine in enumerate_vines(g, p, max_count=8).vines:
+        broken = _with_one_fault(data, g, vine, ears)
+        expected = reference_verify_vine(g, broken)
+        assert verify_vine(g, broken) == expected
+        assert _vine_verdict(g, broken, faults) == expected
