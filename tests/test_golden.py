@@ -5,7 +5,9 @@ regenerate one only when a change to its report is intended. The
 budget-limited fuzz report was written by the command line in
 BUDGET_FUZZ. ``analyze``
 runs inside tests/golden/ so that the graph path the report echoes is
-the bare file name.
+the bare file name. The graphs x1.txt, x2.txt and x4.txt are the
+``extremal`` instances for m = 2, 3, 4 (slack 0, 0, 2) without their
+comment lines; c7.txt is a 7-cycle.
 """
 
 from pathlib import Path
@@ -19,6 +21,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("analyze_x1.json", ["analyze", "x1.txt", "--json", "-"]),
     ("analyze_x2.json", ["analyze", "x2.txt", "--json", "-"]),
+    # a 7-cycle: its minimum vine is one ear, so q0 is the base path plus that ear
+    ("analyze_c7.json", ["analyze", "c7.txt", "--json", "-"]),
+    # extremal --m 4 --slack 2: one q_j and the even-m qstar
+    ("analyze_x4.json", ["analyze", "x4.txt", "--json", "-"]),
     ("analyze_x2_all_vines.json", ["analyze", "x2.txt", "--all-vines", "200", "--json", "-"]),
     ("fuzz_seed7.json",
      ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7", "--json", "-"]),
