@@ -20,7 +20,8 @@ b_i for the segment lengths, three cycle families exist by construction:
 All three are ladders: the ladder over ears s..t runs forward along ears
 s+1, s+3, ... and back along the others down to s, joined by base-path
 runs, so q0, q_j and qstar are the ladders over ears 1..m, j+1..m-j and
-m/2 alone.
+m/2 alone. A single ear (m = 1) has no segments: q0 is then the base
+path plus the ear, the ladder over ear 1, and shows c >= l + 1.
 
 Each is a simple cycle, so its length is at most the circumference c.
 With slack y = c - m - 2 (non-negative because q0 shows c >= m + 2) the
@@ -93,11 +94,25 @@ class SegmentDecomposition:
         return self.base.vertices[s : e + 1]
 
 
+def _attachment_positions(vine: Vine) -> tuple[list[int], list[int]]:
+    """Base-path positions (xs, ys) of the ears' ends, checked to form the chain."""
+    pos = vine.base.positions
+    for ear in vine.ears:
+        if ear.x_attach not in pos or ear.y_attach not in pos:
+            raise PreconditionError("vine attachment off the base path")
+    xs = [pos[e.x_attach] for e in vine.ears]
+    ys = [pos[e.y_attach] for e in vine.ears]
+    broken = _chain_failure(xs, ys, len(vine.base.vertices) - 1)
+    if broken is not None:
+        raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
+    return xs, ys
+
+
 def decompose(vine: Vine) -> SegmentDecomposition:
     """Cut the base path into the A/B segments induced by the vine.
 
-    Requires m >= 2; single-ear vines take the dedicated pathway in
-    analyze (the whole base path plus the ear is already a cycle).
+    Requires m >= 2; a single ear has no segments, and its cycle, the base
+    path plus the ear, is the ladder over ear 1.
     """
     m = vine.m
     if m < 2:
@@ -105,25 +120,16 @@ def decompose(vine: Vine) -> SegmentDecomposition:
             "segment decomposition needs a vine with at least two ears; "
             "single-ear vines are handled by the dedicated m=1 pathway"
         )
-    p = vine.base
-    pos = p.positions
-    for ear in vine.ears:
-        if ear.x_attach not in pos or ear.y_attach not in pos:
-            raise PreconditionError("vine attachment off the base path")
-    xs = [pos[e.x_attach] for e in vine.ears]
-    ys = [pos[e.y_attach] for e in vine.ears]
-    broken = _chain_failure(xs, ys, len(p.vertices) - 1)
-    if broken is not None:
-        raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
+    xs, ys = _attachment_positions(vine)
     a_spans = [(xs[0], xs[1])]
     a_spans += [(ys[i - 1], xs[i + 1]) for i in range(1, m - 1)]
     a_spans += [(ys[m - 2], ys[m - 1])]
     b_spans = [(xs[i + 1], ys[i]) for i in range(m - 1)]
     a = tuple(e - s for s, e in a_spans)
     b = tuple(e - s for s, e in b_spans)
-    if sum(a) + sum(b) != p.length:
+    if sum(a) + sum(b) != vine.base.length:
         raise InternalInvariantError(
-            f"segment tiling broken: sum(a)={sum(a)} sum(b)={sum(b)} path length={p.length}"
+            f"segment tiling broken: sum(a)={sum(a)} sum(b)={sum(b)} path length={vine.base.length}"
         )
     if a[0] < 1 or a[-1] < 1 or any(x < 0 for x in a) or any(x < 1 for x in b):
         raise InternalInvariantError(f"segment length bounds violated: a={a} b={b}")
@@ -317,51 +323,42 @@ def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVe
     if not bound_met:
         violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
     if m == 1:
-        ear = vine.ears[0]
-        ring = tuple(p.vertices) + tuple(reversed(ear.interior))
-        q0 = _certify(g, ring, p.length + ear.length, "base-plus-ear cycle")
-        q0_len = q0.length
-        if q0_len > c:
-            violations.append(f"base-plus-ear cycle longer than the circumference: {q0_len} > {c}")
-        if c < l + 1:
-            violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
-        return VineVerification(
-            m, slack, bound, bound_met, tight, None, (), q0_len, (), None, tuple(violations)
-        )
-    d = decompose(vine)
-    ineq1 = check_inequality_1(d, c)
-    if not ineq1.ok:
-        violations.append(f"inequality (1) violated: {ineq1.lhs} > {ineq1.rhs}")
-    ineq2 = tuple(check_inequality_2(d, c, j) for j in range(1, (m - 1) // 2 + 1))
-    for verdict in ineq2:
-        if not verdict.ok:
-            violations.append(
-                f"inequality (2) violated at j={verdict.j}: {verdict.lhs} > {verdict.rhs}"
-            )
-    q0 = build_q0(g, d)
-    if q0.length > c:
-        violations.append(f"q0 cycle longer than the circumference: {q0.length} > {c}")
-    qj_lens = []
-    for j in range(1, (m - 1) // 2 + 1):
-        qj = build_qj(g, d, j)
-        qj_lens.append(qj.length)
-        if qj.length > c:
-            violations.append(f"q{j} cycle longer than the circumference: {qj.length} > {c}")
-    qstar_len: int | None = None
+        _attachment_positions(vine)
+        label = "base-plus-ear cycle"
+        expected = vine.base.length + vine.ears[0].length
+        lengths = {label: _certify(g, _ladder(vine, 0, 0), expected, label).length}
+        ineq1, ineq2 = None, ()
+    else:
+        d = decompose(vine)
+        ineq1 = check_inequality_1(d, c)
+        if not ineq1.ok:
+            violations.append(f"inequality (1) violated: {ineq1.lhs} > {ineq1.rhs}")
+        ineq2 = tuple(check_inequality_2(d, c, j) for j in range(1, (m - 1) // 2 + 1))
+        for verdict in ineq2:
+            if not verdict.ok:
+                violations.append(
+                    f"inequality (2) violated at j={verdict.j}: {verdict.lhs} > {verdict.rhs}"
+                )
+        lengths = {"q0 cycle": build_q0(g, d).length}
+        lengths.update((f"q{v.j} cycle", build_qj(g, d, v.j).length) for v in ineq2)
+        if m % 2 == 0:
+            lengths["qstar cycle"] = build_qstar(g, d).length
+    for label, length in lengths.items():
+        if length > c:
+            violations.append(f"{label} longer than the circumference: {length} > {c}")
+    if m == 1 and c < l + 1:
+        violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
     if m % 2 == 0:
-        qstar = build_qstar(g, d)
-        qstar_len = qstar.length
-        if qstar.length > c:
-            violations.append(f"qstar cycle longer than the circumference: {qstar.length} > {c}")
         h = m // 2
         overlap_sum = d.b[h - 1] + (d.b[h - 2] if h >= 2 else 0)
         if overlap_sum > slack + m + 1:
             violations.append(
                 f"qstar consequence violated: b_{h}+b_{h - 1}={overlap_sum} > slack+m+1={slack + m + 1}"
             )
+    lens = list(lengths.values())
     return VineVerification(
-        m, slack, bound, bound_met, tight, ineq1, ineq2,
-        q0.length, tuple(qj_lens), qstar_len, tuple(violations),
+        m, slack, bound, bound_met, tight, ineq1, ineq2, lens[0], tuple(lens[1 : 1 + len(ineq2)]),
+        lengths.get("qstar cycle"), tuple(violations),
     )
 
 

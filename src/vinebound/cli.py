@@ -130,6 +130,9 @@ _RECORD_KEYS = (
     "l", "c", "m", "slack", "parity", "bound", "tight",
     "oracle_checked", "vines_checked", "vines_truncated", "ok", "violations",
 )
+# The fuzz flags in the order of FuzzConfig's leading fields; also the
+# pinned keys of a fuzz report's command block after its name.
+_FUZZ_KEYS = ("count", "nmin", "nmax", "seed", "extra_min", "extra_max", "vine_cap")
 
 
 def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
@@ -218,14 +221,11 @@ def cmd_analyze(args) -> int:
     g = parse_graph(text)
     limits = _limits_from_args(args)
     report = analyze(g, limits)
-    extra_violations: list[str] = []
-    vines_checked = None
+    vines_checked, extra_violations = None, []
     if args.all_vines is not None:
-        checked, truncated, more = verify_all_vines(
+        vines_checked, _, extra_violations = verify_all_vines(
             g, report.path, report.l, report.c, args.all_vines
         )
-        vines_checked = checked
-        extra_violations.extend(more)
     if args.exhaustive_paths:
         _, more = verify_all_longest_paths(g, report.l, report.c)
         extra_violations.extend(more)
@@ -290,28 +290,10 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    cfg = FuzzConfig(
-        count=args.count,
-        n_min=args.nmin,
-        n_max=args.nmax,
-        seed=args.seed,
-        extra_min=args.extra_min,
-        extra_max=args.extra_max,
-        vine_cap=args.vine_cap,
-        jobs=args.jobs,
-        limits=_limits_from_args(args),
-    )
+    values = [getattr(args, key) for key in _FUZZ_KEYS]
+    cfg = FuzzConfig(*values, jobs=args.jobs, limits=_limits_from_args(args))
     report = fuzz_campaign(cfg)
-    command = {
-        "name": "fuzz",
-        "count": cfg.count,
-        "nmin": cfg.n_min,
-        "nmax": cfg.n_max,
-        "seed": cfg.seed,
-        "extra_min": cfg.extra_min,
-        "extra_max": cfg.extra_max,
-        "vine_cap": cfg.vine_cap,
-    }
+    command = {"name": "fuzz", **dict(zip(_FUZZ_KEYS, values))}
     doc = fuzz_document(report, command)
     if args.json is not None:
         _write_json(doc, args.json)
@@ -346,7 +328,6 @@ def cmd_oracle_check(args) -> int:
             f"nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
         )
     instances = []
-    failures = 0
     start = time.monotonic()
     for index, n, extra, seed in seeded_instances(args.seed, args.count, 3, args.nmax):
         g, _ = random_two_connected(n, extra, seed)
@@ -354,9 +335,6 @@ def cmd_oracle_check(args) -> int:
         c_search = longest_cycle(g, limits).length
         l_oracle = longest_path_oracle(g)
         c_oracle = longest_cycle_oracle(g)
-        ok = l_search == l_oracle and c_search == c_oracle
-        if not ok:
-            failures += 1
         instances.append(
             {
                 "index": index,
@@ -366,10 +344,11 @@ def cmd_oracle_check(args) -> int:
                 "l_oracle": l_oracle,
                 "c_search": c_search,
                 "c_oracle": c_oracle,
-                "ok": ok,
+                "ok": l_search == l_oracle and c_search == c_oracle,
             }
         )
     elapsed = time.monotonic() - start
+    failures = sum(not record["ok"] for record in instances)
     command = {"name": "oracle-check", "count": args.count, "nmax": args.nmax, "seed": args.seed}
     doc = _campaign_document(command, instances, failures)
     if args.json is not None:
@@ -412,7 +391,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (GraphParseError, PreconditionError, OSError) as exc:
+    except (GraphParseError, PreconditionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

@@ -5,10 +5,13 @@ exhaustive enumeration, used to compute and freeze expected test values.
 The set-based path and cycle certifiers at the end are the reference the
 package's bitmask certifier is checked against; the piece-stitching cycle
 builders and the dict-based vine check after them are the references for
-the ladder walk and for the once-per-ear vine check.
+the ladder walk and for the once-per-ear vine check, and the last function
+is the per-vine verification that built the single-ear cycle by hand.
 """
 
 from __future__ import annotations
+
+import math
 
 from vinebound import (
     Cycle,
@@ -19,8 +22,16 @@ from vinebound import (
     SegmentDecomposition,
     Vine,
     VineVerdict,
+    build_q0,
+    build_qj,
+    build_qstar,
+    check_inequality_1,
+    check_inequality_2,
+    circumference_bound_squared,
+    decompose,
     validate_path,
 )
+from vinebound.bounds import VineVerification, _certify
 from vinebound.vines import _chain_failure
 
 
@@ -250,3 +261,71 @@ def reference_verify_vine(g: Graph, vine: Vine) -> VineVerdict:
     if broken is not None:
         return VineVerdict(False, "chain", broken)
     return VineVerdict(True)
+
+
+def reference_verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVerification:
+    """verify_vine_against as it was when the single-ear cycle was the base
+    path plus the reversed ear interior, built beside the ladder walk and
+    without the attachment and chain checks."""
+    violations: list[str] = []
+    m = vine.m
+    slack = c - m - 2
+    if slack < 0:
+        # c >= m + 2 fails: everything downstream is meaningless
+        return VineVerification(
+            m, slack, float("nan"), False, False, None, (), 0, (), None,
+            (f"c >= m+2 violated: c={c} m={m}",),
+        )
+    bound_sq = circumference_bound_squared(l, slack, m)
+    bound = math.sqrt(bound_sq)
+    bound_met = c * c >= bound_sq
+    tight = c * c == bound_sq
+    if not bound_met:
+        violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
+    if m == 1:
+        ear = vine.ears[0]
+        ring = tuple(p.vertices) + tuple(reversed(ear.interior))
+        q0 = _certify(g, ring, p.length + ear.length, "base-plus-ear cycle")
+        q0_len = q0.length
+        if q0_len > c:
+            violations.append(f"base-plus-ear cycle longer than the circumference: {q0_len} > {c}")
+        if c < l + 1:
+            violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
+        return VineVerification(
+            m, slack, bound, bound_met, tight, None, (), q0_len, (), None, tuple(violations)
+        )
+    d = decompose(vine)
+    ineq1 = check_inequality_1(d, c)
+    if not ineq1.ok:
+        violations.append(f"inequality (1) violated: {ineq1.lhs} > {ineq1.rhs}")
+    ineq2 = tuple(check_inequality_2(d, c, j) for j in range(1, (m - 1) // 2 + 1))
+    for verdict in ineq2:
+        if not verdict.ok:
+            violations.append(
+                f"inequality (2) violated at j={verdict.j}: {verdict.lhs} > {verdict.rhs}"
+            )
+    q0 = build_q0(g, d)
+    if q0.length > c:
+        violations.append(f"q0 cycle longer than the circumference: {q0.length} > {c}")
+    qj_lens = []
+    for j in range(1, (m - 1) // 2 + 1):
+        qj = build_qj(g, d, j)
+        qj_lens.append(qj.length)
+        if qj.length > c:
+            violations.append(f"q{j} cycle longer than the circumference: {qj.length} > {c}")
+    qstar_len: int | None = None
+    if m % 2 == 0:
+        qstar = build_qstar(g, d)
+        qstar_len = qstar.length
+        if qstar.length > c:
+            violations.append(f"qstar cycle longer than the circumference: {qstar.length} > {c}")
+        h = m // 2
+        overlap_sum = d.b[h - 1] + (d.b[h - 2] if h >= 2 else 0)
+        if overlap_sum > slack + m + 1:
+            violations.append(
+                f"qstar consequence violated: b_{h}+b_{h - 1}={overlap_sum} > slack+m+1={slack + m + 1}"
+            )
+    return VineVerification(
+        m, slack, bound, bound_met, tight, ineq1, ineq2,
+        q0.length, tuple(qj_lens), qstar_len, tuple(violations),
+    )

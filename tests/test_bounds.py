@@ -379,6 +379,19 @@ def test_verify_vine_against_m1(c5):
     assert v.q0_len == 5 and v.tight
 
 
+@pytest.mark.parametrize("ear, message", [
+    ((1, 3), "vine does not satisfy the interleaving chain: x_1 must be the path's first vertex"),
+    ((4, 5), "vine attachment off the base path"),
+])
+def test_verify_vine_against_m1_checks_attachments_and_chain(ear, message):
+    # neither ear closes the base path 0..4 into a cycle through itself; the
+    # base path's own closing edge 4-0 must not pass for one
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (4, 5), (5, 0)])
+    p = validate_path(g, range(5))
+    with pytest.raises(PreconditionError, match=message):
+        verify_vine_against(g, p, l=5, c=6, vine=Vine(p, [Ear(ear)]))
+
+
 def test_verify_all_vines_clean_on_fixtures(x1, x2, k4, theta, c5):
     for g in (x1, x2, k4, theta, c5):
         p = longest_path(g)

@@ -46,6 +46,15 @@ def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/graph.txt"]) == 2
 
 
+def test_analyze_undecodable_file_is_an_input_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark: not UTF-8 text, so not a graph file
+    target = tmp_path / "utf16.txt"
+    target.write_bytes(b"\xff\xfe3\x00 \x001\x00\n\x00")
+    assert main(["analyze", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "decode" in err[0]
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     target = tmp_path / "bad.txt"
     target.write_text("3 1\n0 9\n")

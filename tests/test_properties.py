@@ -1,5 +1,8 @@
 """Property suites over seeded random instances."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +34,7 @@ from vinebound import (
     validate_cycle,
     validate_path,
     verify_vine,
+    verify_vine_against,
 )
 
 from vinebound.families import ExtremalSpec, extremal_graph
@@ -44,6 +48,7 @@ from bruteforce import (
     reference_validate_cycle,
     reference_validate_path,
     reference_verify_vine,
+    reference_verify_vine_against,
 )
 from conftest import complete_graph, cycle_graph
 
@@ -334,3 +339,70 @@ def test_vine_verdicts_match_reference_under_one_fault(params, data):
         expected = reference_verify_vine(g, broken)
         assert verify_vine(g, broken) == expected
         assert _vine_verdict(g, broken, faults) == expected
+
+
+def _verification_fields(v):
+    """A VineVerification as a dict, the NaN bound of a c < m+2 return as None."""
+    fields = dict(vars(v))
+    if math.isnan(fields["bound"]):
+        fields["bound"] = None
+    return fields
+
+
+def _claims(l, c, shifts):
+    """The true (l, c) and each shifted pair, kept within l >= 1."""
+    return [(l, c)] + [(max(1, l + dl), c + dc) for dl, dc in shifts]
+
+
+def _verifications_match_reference(g, p, claims, max_vines):
+    """Compare verify_vine_against with the reference on every enumerated
+    vine on p and every claimed (l, c); returns the violations seen."""
+    seen = []
+    for vine in enumerate_vines(g, p, max_count=max_vines).vines:
+        for l, c in claims:
+            got = verify_vine_against(g, vine.base, l, c, vine)
+            expected = reference_verify_vine_against(g, vine.base, l, c, vine)
+            assert _verification_fields(got) == _verification_fields(expected), (vine, l, c)
+            seen += got.violations
+    return seen
+
+
+claim_shifts = st.lists(st.tuples(st.integers(-2, 12), st.integers(-12, 1)), min_size=1, max_size=4)
+
+
+@given(graphs_and_base_paths(), claim_shifts)
+@settings(max_examples=100, deadline=None)
+def test_vine_verification_matches_reference(params, drawn):
+    """Vines on the longest path and on a prefix of it, which is a certified
+    path that is usually not longest: only there can a single ear have an
+    interior, since on a longest path the lone ear joins its two ends."""
+    g, p = params
+    whole = longest_path(g)
+    claims = _claims(whole.length, longest_cycle(g).length, drawn)
+    for base in {p, whole}:
+        _verifications_match_reference(g, base, claims, max_vines=20)
+
+
+def test_vine_verification_reference_cases_reach_every_violation():
+    """Seeded graphs, some extremal ones for m >= 3, and fixed shifts on
+    which the comparison above meets every violation verify_vine_against
+    can write."""
+    shifted = [(0, -k) for k in range(1, 9)] + [(8, 0), (8, -2)]
+    seen = []
+    for seed in range(12):
+        g, _ = random_two_connected(6 + seed % 5, seed % 7, seed)
+        whole = longest_path(g)
+        claims = _claims(whole.length, longest_cycle(g).length, shifted)
+        prefix = validate_path(g, whole.vertices[: 2 + seed % (len(whole.vertices) - 1)])
+        for base in (whole, prefix):
+            seen += _verifications_match_reference(g, base, claims, max_vines=20)
+    for m in (3, 4, 5, 6):
+        g, spine, _ = extremal_graph(ExtremalSpec(m, 2))
+        claims = _claims(spine.length, longest_cycle(g).length, shifted)
+        seen += _verifications_match_reference(g, spine, claims, max_vines=20)
+    kinds = {re.sub(r" cycle longer.*| at j=.*|:.*", "", v) for v in seen}
+    assert kinds == {
+        "c >= m+2 violated", "bound violated", "inequality (1) violated",
+        "inequality (2) violated", "q0", "q1", "q2", "qstar", "base-plus-ear",
+        "c >= l+1 violated for a single-ear vine", "qstar consequence violated",
+    }, kinds
