@@ -216,14 +216,17 @@ def _verbose_dump(report: BoundReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{args.graph}: {exc}") from None
     g = parse_graph(text)
     limits = _limits_from_args(args)
     report = analyze(g, limits)
-    vines_checked, extra_violations = None, []
+    vines_checked, truncated, extra_violations = None, False, []
     if args.all_vines is not None:
-        vines_checked, _, extra_violations = verify_all_vines(
+        vines_checked, truncated, extra_violations = verify_all_vines(
             g, report.path, report.l, report.c, args.all_vines
         )
     if args.exhaustive_paths:
@@ -243,7 +246,8 @@ def cmd_analyze(args) -> int:
         if args.verbose:
             print(_verbose_dump(report))
             if vines_checked is not None:
-                print(f"all-vines: checked {vines_checked}")
+                cap = f" (stopped at the cap of {args.all_vines})" if truncated else ""
+                print(f"all-vines: checked {vines_checked}{cap}")
         for violation in extra_violations:
             print(f"violation: {violation}")
     return EXIT_VIOLATION if (report.violations or extra_violations) else EXIT_OK
@@ -391,7 +395,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (GraphParseError, PreconditionError, OSError, UnicodeDecodeError) as exc:
+    except (GraphParseError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

@@ -330,11 +330,8 @@ def canonical_cycle(vs: Sequence[int]) -> tuple[int, ...]:
     """Canonical rotation/reflection: start at the smallest vertex, then
     pick the lexicographically smaller direction."""
     seq = list(vs)
-    best: tuple[int, ...] | None = None
+    rotations = []
     for direction in (seq, seq[::-1]):
         i = direction.index(min(direction))
-        rotated = tuple(direction[i:] + direction[:i])
-        if best is None or rotated < best:
-            best = rotated
-    assert best is not None
-    return best
+        rotations.append(tuple(direction[i:] + direction[:i]))
+    return min(rotations)

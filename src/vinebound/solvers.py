@@ -23,9 +23,12 @@ Two independent method families live here on purpose:
   parent's only way on, it takes the parent's reach less itself and runs
   no search of its own; that reach and its two-neighbour vertices are
   exactly what a fresh search would find.
-* ``longest_path_oracle`` / ``longest_cycle_oracle`` are bitmask dynamic
-  programs over (vertex subset, endpoint) states. They share no code with
-  the search and return lengths only; they exist to cross-check it.
+* ``longest_path_oracle`` / ``longest_cycle_oracle`` are the Bellman /
+  Held-Karp dynamic program over (vertex subset, endpoint) states, run
+  bit-parallel: per endpoint w, one integer of 2^n bits has bit S set when
+  some simple path with vertex set S ends at w, one layer per path length,
+  so one step extends the paths of every subset at once. They share no
+  code with the search and return lengths only; they exist to cross-check it.
 """
 
 from __future__ import annotations
@@ -270,73 +273,75 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
     return validate_cycle(g, best_seq)
 
 
+def _subsets_without(k: int) -> list[int]:
+    """For each w < k, the 2^k-bit integer whose bit S is set when the vertex
+    subset S leaves out w: runs of 2^w ones, one every 2^(w+1) bits."""
+    masks, starts = [], 1
+    for w in reversed(range(k)):
+        masks.append((starts << (1 << w)) - starts)
+        starts |= starts << (1 << w)
+    return masks[::-1]
+
+
+def _subset_layers(neighbours, layer: list[int], without: list[int]):
+    """Yield the layers after ``layer``, one per added edge, up to the first
+    empty one; shifting left by 2^w adds w to every subset at once."""
+    steps = [(nbrs, mask, 1 << w) for w, (nbrs, mask) in enumerate(zip(neighbours, without))]
+    while True:
+        nxt = []
+        for nbrs, mask, shift in steps:
+            ends = 0
+            for v in nbrs:
+                ends |= layer[v]
+            nxt.append((ends & mask) << shift)
+        if not any(nxt):
+            return
+        layer = nxt
+        yield layer
+
+
+def _check_oracle_size(g: Graph, max_vertices: int) -> None:
+    if g.n > max_vertices:
+        raise PreconditionError(f"oracle capped at {max_vertices} vertices, got n={g.n}")
+    if g.n == 0:
+        raise PreconditionError("oracle needs at least one vertex")
+
+
 def longest_path_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
-    """Exact longest-path length by subset DP over (visited set, endpoint).
+    """Exact longest-path length by subset DP over (visited set, endpoint),
+    one bit-parallel layer per path length.
 
     Intentionally disjoint from the branch-and-bound code path; used to
     cross-validate it on small instances.
     """
-    if g.n > max_vertices:
-        raise PreconditionError(f"oracle capped at {max_vertices} vertices, got n={g.n}")
-    if g.n == 0:
-        raise PreconditionError("oracle needs at least one vertex")
-    n = g.n
-    adj = g.adjacency_bits
-    endpoints = [0] * (1 << n)
-    for v in range(n):
-        endpoints[1 << v] = 1 << v
-    best = 0
-    for mask in range(1, 1 << n):
-        eps = endpoints[mask]
-        if not eps:
-            continue
-        size = mask.bit_count()
-        if size - 1 > best:
-            best = size - 1
-        e = eps
-        while e:
-            vbit = e & -e
-            e ^= vbit
-            ext = adj[vbit.bit_length() - 1] & ~mask
-            while ext:
-                wbit = ext & -ext
-                ext ^= wbit
-                endpoints[mask | wbit] |= wbit
-    return best
+    _check_oracle_size(g, max_vertices)
+    single = [1 << (1 << w) for w in range(g.n)]
+    return sum(1 for _ in _subset_layers(g.neighbors, single, _subsets_without(g.n)))
 
 
 def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
-    """Exact circumference by subset DP rooted at each subset's minimum
-    vertex; returns 0 when the graph has no cycle."""
-    if g.n > max_vertices:
-        raise PreconditionError(f"oracle capped at {max_vertices} vertices, got n={g.n}")
-    if g.n == 0:
-        raise PreconditionError("oracle needs at least one vertex")
+    """Exact circumference by subset DP rooted at each cycle's minimum
+    vertex r, over the vertices above r; returns 0 when the graph has no
+    cycle."""
+    _check_oracle_size(g, max_vertices)
     n = g.n
-    adj = g.adjacency_bits
-    endpoints = [0] * (1 << n)
-    for v in range(n):
-        endpoints[1 << v] = 1 << v
+    without = _subsets_without(n - 1)
     best = 0
-    for mask in range(1, 1 << n):
-        eps = endpoints[mask]
-        if not eps:
+    for r in range(n):
+        if n - r <= best:
+            break
+        # vertex r + 1 + i is bit i; the layers hold paths from r, less r
+        base = r + 1
+        closers = [v - base for v in g.neighbors[r] if v > r]
+        if len(closers) < 2:
             continue
-        rootbit = mask & -mask
-        root = rootbit.bit_length() - 1
-        size = mask.bit_count()
-        if size >= 3 and size > best and eps & adj[root] & ~rootbit:
-            best = size
-        above_root = ~((rootbit << 1) - 1)
-        e = eps
-        while e:
-            vbit = e & -e
-            e ^= vbit
-            ext = adj[vbit.bit_length() - 1] & ~mask & above_root
-            while ext:
-                wbit = ext & -ext
-                ext ^= wbit
-                endpoints[mask | wbit] |= wbit
+        neighbours = [[v - base for v in g.neighbors[w] if v > r] for w in range(base, n)]
+        layer = [1 << (1 << i) if i in closers else 0 for i in range(n - base)]
+        size = 2
+        for layer in _subset_layers(neighbours, layer, without):
+            size += 1
+            if size > best and any(layer[i] for i in closers):
+                best = size
     return best
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import (
@@ -254,14 +255,10 @@ def _iter_vines(
     ys = [pos[e.y_attach] for e in ears]
     interiors = [frozenset(e.interior) for e in ears]
     # state: (ear index tuple, union of interiors, y position of previous ear, y position of last ear)
-    level: list[tuple[tuple[int, ...], frozenset[int], int, int]] = []
-    states = 0
-    for i in range(len(ears)):
-        if xs[i] == 0:
-            level.append(((i,), interiors[i], -1, ys[i]))
-            states += 1
-            if states > state_cap:
-                raise VineSearchCapError(state_cap)
+    level = [((i,), interiors[i], -1, ys[i]) for i in range(len(ears)) if xs[i] == 0]
+    states = len(level)
+    if states > state_cap:
+        raise VineSearchCapError(state_cap)
     while level:
         nxt: list[tuple[tuple[int, ...], frozenset[int], int, int]] = []
         for chain, used, y_prev, y_last in level:
@@ -315,11 +312,6 @@ def enumerate_vines(
         raise PreconditionError("max_count must be positive")
     require_two_connected(g)
     ears = enumerate_ears(g, p, cap=ear_cap)
-    vines: list[Vine] = []
-    truncated = False
-    for vine in _iter_vines(p, ears, state_cap):
-        if len(vines) == max_count:
-            truncated = True
-            break
-        vines.append(vine)
-    return VineEnumeration(tuple(vines), truncated)
+    # one vine past the cap, to tell a full enumeration from a cut one
+    vines = tuple(islice(_iter_vines(p, ears, state_cap), max_count + 1))
+    return VineEnumeration(vines[:max_count], len(vines) > max_count)

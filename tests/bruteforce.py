@@ -5,8 +5,9 @@ exhaustive enumeration, used to compute and freeze expected test values.
 The set-based path and cycle certifiers at the end are the reference the
 package's bitmask certifier is checked against; the piece-stitching cycle
 builders and the dict-based vine check after them are the references for
-the ladder walk and for the once-per-ear vine check, and the last function
-is the per-vine verification that built the single-ear cycle by hand.
+the ladder walk and for the once-per-ear vine check, the next function
+is the per-vine verification that built the single-ear cycle by hand, and
+the last two are the per-subset oracles that the bit-parallel ones replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from vinebound import (
     Graph,
     Path,
     PathValidationError,
+    PreconditionError,
     SegmentDecomposition,
     Vine,
     VineVerdict,
@@ -32,6 +34,7 @@ from vinebound import (
     validate_path,
 )
 from vinebound.bounds import VineVerification, _certify
+from vinebound.solvers import ORACLE_MAX_VERTICES
 from vinebound.vines import _chain_failure
 
 
@@ -329,3 +332,73 @@ def reference_verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine)
         m, slack, bound, bound_met, tight, ineq1, ineq2,
         q0.length, tuple(qj_lens), qstar_len, tuple(violations),
     )
+
+
+def reference_longest_path_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
+    """Exact longest-path length by subset DP over (visited set, endpoint).
+
+    Intentionally disjoint from the branch-and-bound code path; used to
+    cross-validate it on small instances.
+    """
+    if g.n > max_vertices:
+        raise PreconditionError(f"oracle capped at {max_vertices} vertices, got n={g.n}")
+    if g.n == 0:
+        raise PreconditionError("oracle needs at least one vertex")
+    n = g.n
+    adj = g.adjacency_bits
+    endpoints = [0] * (1 << n)
+    for v in range(n):
+        endpoints[1 << v] = 1 << v
+    best = 0
+    for mask in range(1, 1 << n):
+        eps = endpoints[mask]
+        if not eps:
+            continue
+        size = mask.bit_count()
+        if size - 1 > best:
+            best = size - 1
+        e = eps
+        while e:
+            vbit = e & -e
+            e ^= vbit
+            ext = adj[vbit.bit_length() - 1] & ~mask
+            while ext:
+                wbit = ext & -ext
+                ext ^= wbit
+                endpoints[mask | wbit] |= wbit
+    return best
+
+
+def reference_longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
+    """Exact circumference by subset DP rooted at each subset's minimum
+    vertex; returns 0 when the graph has no cycle."""
+    if g.n > max_vertices:
+        raise PreconditionError(f"oracle capped at {max_vertices} vertices, got n={g.n}")
+    if g.n == 0:
+        raise PreconditionError("oracle needs at least one vertex")
+    n = g.n
+    adj = g.adjacency_bits
+    endpoints = [0] * (1 << n)
+    for v in range(n):
+        endpoints[1 << v] = 1 << v
+    best = 0
+    for mask in range(1, 1 << n):
+        eps = endpoints[mask]
+        if not eps:
+            continue
+        rootbit = mask & -mask
+        root = rootbit.bit_length() - 1
+        size = mask.bit_count()
+        if size >= 3 and size > best and eps & adj[root] & ~rootbit:
+            best = size
+        above_root = ~((rootbit << 1) - 1)
+        e = eps
+        while e:
+            vbit = e & -e
+            e ^= vbit
+            ext = adj[vbit.bit_length() - 1] & ~mask & above_root
+            while ext:
+                wbit = ext & -ext
+                ext ^= wbit
+                endpoints[mask | wbit] |= wbit
+    return best

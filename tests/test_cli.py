@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from vinebound import cli, parse_graph, serialize_graph, validate_cycle, validate_path
+from vinebound import (
+    cli, parse_graph, random_two_connected, serialize_graph, validate_cycle, validate_path,
+)
 from vinebound.errors import InternalInvariantError, ResourceLimitError
 from vinebound.cli import main
 
@@ -53,6 +55,15 @@ def test_analyze_undecodable_file_is_an_input_error(tmp_path, capsys):
     assert main(["analyze", str(target)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "decode" in err[0]
+
+
+def test_analyze_undecodable_file_error_names_the_file(tmp_path, capsys):
+    target = tmp_path / "utf16.txt"
+    target.write_bytes(b"\xff\xfe3\x00")
+    assert main(["analyze", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {target}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte"]
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -164,6 +175,26 @@ def test_analyze_all_vines_and_exhaustive(tmp_path, capsys, x2):
     ])
     assert code == 0
     assert "all-vines: checked" in capsys.readouterr().out
+
+
+def test_analyze_all_vines_says_when_it_stopped_at_the_cap(tmp_path, capsys):
+    # three vines on this graph's longest path
+    source = write_graph(tmp_path, random_two_connected(12, 12, 5)[0])
+    for cap, line in ((1, "all-vines: checked 1 (stopped at the cap of 1)"),
+                      (2, "all-vines: checked 2 (stopped at the cap of 2)"),
+                      (3, "all-vines: checked 3"),
+                      (10, "all-vines: checked 3")):
+        assert main(["analyze", source, "--all-vines", str(cap), "--verbose"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [text for text in out if text.startswith("all-vines:")] == [line]
+    # the JSON report does not change with the cap's outcome beyond its own field
+    main(["analyze", source, "--all-vines", "1", "--json", "-"])
+    capped = json.loads(capsys.readouterr().out)
+    main(["analyze", source, "--all-vines", "10", "--json", "-"])
+    full = json.loads(capsys.readouterr().out)
+    assert capped["command"]["all_vines"] == 1
+    capped["command"]["all_vines"] = 10
+    assert capped == full
 
 
 def test_analyze_violation_exit_1(tmp_path, capsys, x2, monkeypatch):

@@ -45,12 +45,14 @@ from bruteforce import (
     reference_build_q0,
     reference_build_qj,
     reference_build_qstar,
+    reference_longest_cycle_oracle,
+    reference_longest_path_oracle,
     reference_validate_cycle,
     reference_validate_path,
     reference_verify_vine,
     reference_verify_vine_against,
 )
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 edge_sets = st.integers(3, 9).flatmap(
@@ -101,6 +103,62 @@ def test_search_matches_oracle(params):
         assert cyc.length == longest_cycle_oracle(g)
         assert cyc.length <= g.n
         validate_cycle(g, cyc.vertices)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Any graph with 1..13 vertices: an arbitrary edge set (often
+    disconnected or non-Hamiltonian), a forest (no cycle, disconnected when
+    a vertex gets no parent) or two cycles sharing one vertex (c < n)."""
+    n = draw(st.integers(1, 13))
+    kind = draw(st.sampled_from(("edges", "forest", "bowtie")))
+    if kind == "forest":
+        parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) for v in range(1, n)]
+        return Graph(n, [(p, v) for v, p in enumerate(parents, 1) if p is not None])
+    if kind == "bowtie" and n >= 5:
+        order = draw(st.permutations(range(n)))
+        cut = draw(st.integers(2, n - 3))
+        left, right = order[: cut + 1], order[cut:]
+        return Graph(n, [(left[i - 1], left[i]) for i in range(len(left))]
+                     + [(right[i - 1], right[i]) for i in range(len(right))])
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph(n, draw(st.sets(pairs, max_size=n * 3)))
+
+
+def _assert_oracles_match_reference(g, max_vertices=16):
+    assert longest_path_oracle(g, max_vertices) == reference_longest_path_oracle(g, max_vertices)
+    assert longest_cycle_oracle(g, max_vertices) == reference_longest_cycle_oracle(g, max_vertices)
+
+
+@given(oracle_graphs())
+@settings(max_examples=150, deadline=None)
+def test_oracles_match_per_subset_reference(g):
+    _assert_oracles_match_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g, l, c",
+    [
+        (Graph(1, []), 0, 0),
+        (Graph(2, []), 0, 0),
+        (Graph(2, [(0, 1)]), 1, 0),
+        (path_graph(5), 4, 0),
+        (Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 2, 3),
+    ]
+    + [(complete_graph(n), n - 1, n if n >= 3 else 0) for n in range(1, 9)],
+)
+def test_oracles_match_per_subset_reference_cases(g, l, c):
+    _assert_oracles_match_reference(g)
+    assert (longest_path_oracle(g), longest_cycle_oracle(g)) == (l, c)
+
+
+def test_oracles_match_per_subset_reference_at_17_vertices():
+    # the path 0..16 with the chord 0-8: one path through all 17 vertices,
+    # and the only cycle is 0..8
+    g = Graph(17, [(i, i + 1) for i in range(16)] + [(0, 8)])
+    _assert_oracles_match_reference(g, max_vertices=17)
+    assert longest_path_oracle(g, max_vertices=17) == 16
+    assert longest_cycle_oracle(g, max_vertices=17) == 9
 
 
 def _certify_outcome(certify, g, vs):
