@@ -23,6 +23,12 @@ Two independent method families live here on purpose:
   parent's only way on, it takes the parent's reach less itself and runs
   no search of its own; that reach and its two-neighbour vertices are
   exactly what a fresh search would find.
+  longest_cycle keeps one table per root: for each key (end, reach, closers
+  in the reach, the only ones a way on can end at) the most vertices a node
+  reached it with, and prunes a node with no more. The node that set it is
+  no ancestor (those end elsewhere), so it is finished and found as long a
+  cycle as the pruned one could. No ancestor of the pinned witness is cut:
+  the rest of the witness would close that smaller prefix as long, earlier.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are the Bellman /
   Held-Karp dynamic program over (vertex subset, endpoint) states, run
   bit-parallel: per endpoint w, one integer of 2^n bits has bit S set when
@@ -64,6 +70,9 @@ DEFAULT_LIMITS = SolveLimits()
 # The subset-DP oracles' own cap: each walks a 2^n table. Fuzz stops its
 # cross-checks lower, at families.ORACLE_CROSS_CHECK_MAX_N, to stay cheap.
 ORACLE_MAX_VERTICES = 16
+
+# longest_cycle clears a full dominance table, which only loses prunes
+DOMINANCE_CAP = 1 << 16
 
 
 class _BudgetHit(Exception):
@@ -222,6 +231,7 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
             todo = [rootbit]
             masks = [rootbit - 1]
             forced: list[tuple[int, int] | None] = [None]
+            dominance: dict[tuple[int, int, int], int] = {}
             while todo:
                 cand = todo[-1]
                 if not cand:
@@ -254,10 +264,15 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 else:
                     reach, twos = _reach(adj, v, visited, adj[v] | closers, adj[v] & closers)
                 # the way back from v to the root ends in a closer and runs
-                # through vertices with two neighbours in reach + v + root
-                if not closers & reach or count + (reach & twos).bit_count() <= best_len:
+                # through vertices with two neighbours in reach + v + root; an
+                # earlier node at this key with as many vertices found it all
+                if (not closers & reach or count + (reach & twos).bit_count() <= best_len
+                        or dominance.get(key := (v, reach, closers & reach), 0) >= count):
                     seq.pop()
                     continue
+                if len(dominance) >= DOMINANCE_CAP:
+                    dominance.clear()
+                dominance[key] = count
                 cand = adj[v] & ~visited
                 todo.append(cand)
                 masks.append(visited)

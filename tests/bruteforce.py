@@ -6,8 +6,9 @@ The set-based path and cycle certifiers at the end are the reference the
 package's bitmask certifier is checked against; the piece-stitching cycle
 builders and the dict-based vine check after them are the references for
 the ladder walk and for the once-per-ear vine check, the next function
-is the per-vine verification that built the single-ear cycle by hand, and
-the last two are the per-subset oracles that the bit-parallel ones replaced.
+is the per-vine verification that built the single-ear cycle by hand, the
+next two are the per-subset oracles that the bit-parallel ones replaced,
+and the last is the cycle search as it was before its dominance table.
 """
 
 from __future__ import annotations
@@ -34,7 +35,16 @@ from vinebound import (
     validate_path,
 )
 from vinebound.bounds import VineVerification, _certify
-from vinebound.solvers import ORACLE_MAX_VERTICES
+from vinebound.errors import InternalInvariantError, SolveBudgetError
+from vinebound.graphs import validate_cycle
+from vinebound.solvers import (
+    DEFAULT_LIMITS,
+    ORACLE_MAX_VERTICES,
+    SolveLimits,
+    _Budget,
+    _BudgetHit,
+    _reach,
+)
 from vinebound.vines import _chain_failure
 
 
@@ -402,3 +412,88 @@ def reference_longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERT
                 ext ^= wbit
                 endpoints[mask | wbit] |= wbit
     return best
+
+
+def reference_longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
+    """Longest simple cycle of a 2-connected graph.
+
+    Tie-break: the canonical rotation/reflection starting at the smallest
+    vertex, then lexicographically smallest.
+    """
+    failure = g.two_connectivity_failure
+    if failure is not None:
+        raise PreconditionError(f"longest_cycle requires a 2-connected graph: {failure}")
+    adj = g.adjacency_bits
+    budget = _Budget(limits)
+    best_len = 0
+    best_seq: list[int] | None = None
+    n = g.n
+    try:
+        for root in range(n - 2):
+            if best_len >= n - root:
+                # no cycle above the root is longer
+                break
+            rootbit = 1 << root
+            root_adj = adj[root]
+            # the root neighbours a cycle may still close through
+            closers = root_adj & ~((rootbit << 1) - 1)
+            if not closers & (closers - 1):
+                # fewer than two neighbours above the root: no cycle has
+                # it as its smallest vertex
+                continue
+            # Frames as in longest_path; the bottom frame holds the root
+            # alone, and every mask blocks the vertices below the root, so
+            # each cycle is found from its smallest vertex only.
+            seq: list[int] = []
+            todo = [rootbit]
+            masks = [rootbit - 1]
+            forced: list[tuple[int, int] | None] = [None]
+            while todo:
+                cand = todo[-1]
+                if not cand:
+                    todo.pop()
+                    masks.pop()
+                    forced.pop()
+                    if seq:
+                        seq.pop()
+                    continue
+                low = cand & -cand
+                todo[-1] = cand ^ low
+                budget.spend()
+                v = low.bit_length() - 1
+                visited = masks[-1] | low
+                seq.append(v)
+                count = len(seq)
+                if count == 2:
+                    # each cycle is searched in one direction only: it
+                    # leaves the root for the smaller of its two root
+                    # neighbours and closes through the larger
+                    closers = root_adj & ~((low << 1) - 1)
+                elif count > best_len and closers & low:
+                    best_len = count
+                    best_seq = seq.copy()
+                if forced[-1] is not None:
+                    reach, twos = forced[-1]
+                    reach ^= low
+                elif v == root:
+                    reach, twos = _reach(adj, v, visited, root_adj, 0)
+                else:
+                    reach, twos = _reach(adj, v, visited, adj[v] | closers, adj[v] & closers)
+                # the way back from v to the root ends in a closer and runs
+                # through vertices with two neighbours in reach + v + root
+                if not closers & reach or count + (reach & twos).bit_count() <= best_len:
+                    seq.pop()
+                    continue
+                cand = adj[v] & ~visited
+                todo.append(cand)
+                masks.append(visited)
+                forced.append(None if cand & (cand - 1) else (reach, twos))
+    except _BudgetHit as hit:
+        incumbent = validate_cycle(g, best_seq) if best_seq is not None else None
+        raise SolveBudgetError(
+            f"longest_cycle: {hit}; best non-optimal cycle has length {best_len}",
+            incumbent=incumbent,
+        ) from None
+    if best_seq is None:
+        raise InternalInvariantError("longest_cycle: no cycle found in a 2-connected graph")
+    return validate_cycle(g, best_seq)

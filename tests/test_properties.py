@@ -45,6 +45,7 @@ from bruteforce import (
     reference_build_q0,
     reference_build_qj,
     reference_build_qstar,
+    reference_longest_cycle,
     reference_longest_cycle_oracle,
     reference_longest_path_oracle,
     reference_validate_cycle,
@@ -103,6 +104,53 @@ def test_search_matches_oracle(params):
         assert cyc.length == longest_cycle_oracle(g)
         assert cyc.length <= g.n
         validate_cycle(g, cyc.vertices)
+
+
+@st.composite
+def non_hamiltonian_blocks(draw):
+    """A 2-connected graph with c < n: s >= 2 hubs joined by s + 1 or more
+    chains with interior vertices, the first s around a ring of the hubs
+    and the rest as ears, plus chords inside a chain or between hubs, then
+    relabelled. Deleting the hubs leaves more components than hubs, which
+    no Hamiltonian graph allows."""
+    s = draw(st.integers(2, 4))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=s + 1, max_size=s + 3))
+    edges, chains, n = [], [], s
+    for i, k in enumerate(lengths):
+        a, b = (i % s, (i + 1) % s) if i < s else draw(st.permutations(range(s)))[:2]
+        chain = [a, *range(n, n + k), b]
+        edges += zip(chain, chain[1:])
+        chains.append(chain[1:-1])
+        n += k
+    for _ in range(draw(st.integers(0, 4))):
+        pool = draw(st.sampled_from(chains + [list(range(s))]))
+        if len(pool) >= 2:
+            edges.append(tuple(draw(st.permutations(pool))[:2]))
+    labels = draw(st.permutations(range(n)))
+    return Graph(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+@given(st.tuples(st.integers(3, 22), st.integers(0, 40), st.integers(0, 2**32)))
+@settings(max_examples=80, deadline=None)
+def test_longest_cycle_matches_reference_on_random_graphs(params):
+    g, _ = random_two_connected(*params)
+    assert longest_cycle(g).vertices == reference_longest_cycle(g).vertices
+
+
+@given(non_hamiltonian_blocks())
+@settings(max_examples=120, deadline=None)
+def test_longest_cycle_matches_reference_below_n(g):
+    assert is_two_connected(g)
+    cyc = longest_cycle(g)
+    assert cyc.length < g.n
+    assert cyc.vertices == reference_longest_cycle(g).vertices
+
+
+def test_longest_cycle_matches_reference_on_extremal_sweep():
+    for m in range(2, 21):
+        for slack in (0, 2, 4):
+            g = extremal_graph(ExtremalSpec(m, slack))[0]
+            assert longest_cycle(g).vertices == reference_longest_cycle(g).vertices
 
 
 @st.composite
