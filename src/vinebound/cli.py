@@ -2,13 +2,15 @@
 
 Subcommands: ``analyze`` a graph file, ``extremal`` to emit a tight
 family instance, ``fuzz`` for seeded random campaigns, and
-``oracle-check`` to cross-validate the two solver implementations.
+``oracle-check``, a fuzz campaign over n 3..nmax that reports each
+instance as the search's and the subset-DP oracles' l and c.
 
 Exit codes: 0 all checks pass, 1 any violation (counterexample
-candidate), 2 input error, 3 resource limit hit. A fuzz campaign whose
-failed instances all ran out of a budget exits 3; any violation or failed
-invariant among them makes it exit 1. JSON reports contain no wall-clock
-values, so identical invocations are byte-identical.
+candidate), 2 input error, 3 resource limit hit. A fuzz or oracle-check
+campaign whose failed instances all ran out of a budget exits 3; any
+violation, mismatch or failed invariant among them makes it exit 1. JSON
+reports contain no wall-clock values, so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .bounds import (
     BoundReport,
@@ -39,18 +40,9 @@ from .families import (
     extremal_graph,
     extremal_path_length,
     fuzz_campaign,
-    random_two_connected,
-    seeded_instances,
 )
 from .graphs import parse_graph, serialize_graph
-from .solvers import (
-    ORACLE_MAX_VERTICES,
-    SolveLimits,
-    longest_cycle,
-    longest_cycle_oracle,
-    longest_path,
-    longest_path_oracle,
-)
+from .solvers import ORACLE_MAX_VERTICES, SolveLimits
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -133,6 +125,11 @@ _RECORD_KEYS = (
 # The fuzz flags in the order of FuzzConfig's leading fields; also the
 # pinned keys of a fuzz report's command block after its name.
 _FUZZ_KEYS = ("count", "nmin", "nmax", "seed", "extra_min", "extra_max", "vine_cap")
+# The pinned keys of an oracle-check record and the record fields they read.
+_ORACLE_KEYS = {
+    "index": "index", "seed": "seed", "n": "n", "l_search": "l", "l_oracle": "oracle_l",
+    "c_search": "c", "c_oracle": "oracle_c", "ok": "ok",
+}
 
 
 def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
@@ -316,57 +313,44 @@ def cmd_fuzz(args) -> int:
             f"summary: {report.passed}/{len(report.records)} passed, "
             f"{report.failed} violations, {report.elapsed:.2f}s"
         )
+    return _campaign_exit(report)
+
+
+def cmd_oracle_check(args) -> int:
+    if not 3 <= args.nmax <= ORACLE_MAX_VERTICES:
+        raise PreconditionError(
+            f"nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
+        )
+    cfg = FuzzConfig(args.count, 3, args.nmax, args.seed, extra_max=None,
+                     limits=_limits_from_args(args))
+    report = fuzz_campaign(cfg)
+    instances = [{key: getattr(r, name) for key, name in _ORACLE_KEYS.items()}
+                 for r in report.records]
+    command = {"name": "oracle-check", "count": args.count, "nmax": args.nmax, "seed": args.seed}
+    doc = _campaign_document(command, instances, report.failed)
+    if args.json is not None:
+        _write_json(doc, args.json)
+    if args.json != "-":
+        for r in report.records:
+            status = "ok" if r.ok else "BUDGET" if r.resource_limited else "MISMATCH"
+            print(
+                f"[{r.index + 1}/{cfg.count}] n={r.n} "
+                f"l={r.l}/{r.oracle_l} c={r.c}/{r.oracle_c} {status}"
+            )
+            for violation in r.violations:
+                print(f"    {violation}")
+        print(f"summary: {report.passed}/{cfg.count} agree, {report.elapsed:.2f}s")
+    return _campaign_exit(report)
+
+
+def _campaign_exit(report: FuzzReport) -> int:
+    """0 when every instance passed; a ResourceLimitError when only
+    budgets failed; else 1."""
     if report.ok:
         return EXIT_OK
     if all(r.resource_limited for r in report.records if not r.ok):
         raise ResourceLimitError(f"{report.failed} of {len(report.records)} instances ran out of a budget")
     return EXIT_VIOLATION
-
-
-def cmd_oracle_check(args) -> int:
-    if args.count < 1:
-        raise PreconditionError(f"count must be at least 1, got {args.count}")
-    limits = _limits_from_args(args)
-    if not 3 <= args.nmax <= ORACLE_MAX_VERTICES:
-        raise PreconditionError(
-            f"nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
-        )
-    instances = []
-    start = time.monotonic()
-    for index, n, extra, seed in seeded_instances(args.seed, args.count, 3, args.nmax):
-        g, _ = random_two_connected(n, extra, seed)
-        l_search = longest_path(g, limits).length
-        c_search = longest_cycle(g, limits).length
-        l_oracle = longest_path_oracle(g)
-        c_oracle = longest_cycle_oracle(g)
-        instances.append(
-            {
-                "index": index,
-                "seed": seed,
-                "n": n,
-                "l_search": l_search,
-                "l_oracle": l_oracle,
-                "c_search": c_search,
-                "c_oracle": c_oracle,
-                "ok": l_search == l_oracle and c_search == c_oracle,
-            }
-        )
-    elapsed = time.monotonic() - start
-    failures = sum(not record["ok"] for record in instances)
-    command = {"name": "oracle-check", "count": args.count, "nmax": args.nmax, "seed": args.seed}
-    doc = _campaign_document(command, instances, failures)
-    if args.json is not None:
-        _write_json(doc, args.json)
-    if args.json != "-":
-        for record in instances:
-            status = "ok" if record["ok"] else "MISMATCH"
-            print(
-                f"[{record['index'] + 1}/{args.count}] n={record['n']} "
-                f"l={record['l_search']}/{record['l_oracle']} "
-                f"c={record['c_search']}/{record['c_oracle']} {status}"
-            )
-        print(f"summary: {args.count - failures}/{args.count} agree, {elapsed:.2f}s")
-    return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
 _HANDLERS = {

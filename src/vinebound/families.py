@@ -23,13 +23,8 @@ from typing import Iterator
 from .bounds import BoundReport, analyze, verify_all_vines
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, VineboundError
 from .graphs import Graph, Path, is_two_connected, serialize_graph, validate_path
-from .solvers import SolveLimits, longest_cycle_oracle, longest_path_oracle
+from .solvers import ORACLE_MAX_VERTICES, SolveLimits, longest_cycle_oracle, longest_path_oracle
 from .vines import Ear, Vine, verify_vine
-
-# Fuzz cross-checks instances up to this size against the oracles, which
-# keeps their 2^n DP cheap per instance; solvers.ORACLE_MAX_VERTICES (16)
-# is the oracles' own cap, up to which oracle-check may go.
-ORACLE_CROSS_CHECK_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -134,14 +129,15 @@ def random_two_connected(n: int, extra_ears: int, seed: int) -> tuple[Graph, int
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Seeded campaign over random 2-connected instances."""
+    """Seeded campaign over random 2-connected instances; extra_max None
+    draws up to n extra chords."""
 
     count: int
     n_min: int
     n_max: int
     seed: int
     extra_min: int = 0
-    extra_max: int = 10
+    extra_max: int | None = 10
     vine_cap: int = 200
     jobs: int = 1
     limits: SolveLimits = field(default_factory=SolveLimits)
@@ -153,7 +149,8 @@ class FuzzConfig:
             raise PreconditionError(
                 f"need 3 <= n_min <= n_max, got n_min={self.n_min} n_max={self.n_max}"
             )
-        if not 0 <= self.extra_min <= self.extra_max:
+        top = self.extra_min if self.extra_max is None else self.extra_max
+        if not 0 <= self.extra_min <= top:
             raise PreconditionError(
                 f"need 0 <= extra_min <= extra_max, got {self.extra_min}, {self.extra_max}"
             )
@@ -172,8 +169,10 @@ class InstanceRecord:
     """Outcome of one fuzz instance; graph_text is set only on violation.
 
     report is None when verification raised; resource_limited says whether
-    it ran out of a budget. The names in _NO_RESULT read through to the
-    report, or give the placeholder there when it is None.
+    it ran out of a budget. oracle_l / oracle_c are the oracles' lengths,
+    None when the instance was not cross-checked. The names in _NO_RESULT
+    read through to the report, or give the placeholder there when it is
+    None.
     """
 
     index: int
@@ -184,7 +183,8 @@ class InstanceRecord:
     violations: tuple[str, ...]
     graph_text: str | None
     report: BoundReport | None = None
-    oracle_checked: bool = False
+    oracle_l: int | None = None
+    oracle_c: int | None = None
     vines_checked: int = 0
     vines_truncated: bool = False
     resource_limited: bool = False
@@ -200,12 +200,15 @@ class InstanceRecord:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def oracle_checked(self) -> bool:
+        return self.oracle_l is not None
+
 
 @dataclass(frozen=True)
 class FuzzReport:
     """Campaign outcome; records are in instance-index order."""
 
-    config: FuzzConfig
     records: tuple[InstanceRecord, ...]
     elapsed: float
 
@@ -232,8 +235,8 @@ def _run_fuzz_instance(
         violations = list(report.violations)
         checked, truncated, more = verify_all_vines(g, report.path, report.l, report.c, vine_cap)
         violations.extend(more)
-        oracle_checked = g.n <= ORACLE_CROSS_CHECK_MAX_N
-        if oracle_checked:
+        oracle_l = oracle_c = None
+        if g.n <= ORACLE_MAX_VERTICES:
             oracle_l = longest_path_oracle(g)
             oracle_c = longest_cycle_oracle(g)
             if oracle_l != report.l:
@@ -251,7 +254,8 @@ def _run_fuzz_instance(
     return InstanceRecord(
         index, seed, n, extra, placed, tuple(violations),
         graph_text=serialize_graph(g) if violations else None,
-        report=report, oracle_checked=oracle_checked, vines_checked=checked, vines_truncated=truncated,
+        report=report, oracle_l=oracle_l, oracle_c=oracle_c, vines_checked=checked,
+        vines_truncated=truncated,
     )
 
 
@@ -284,4 +288,4 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
             records = tuple(pool.map(run, instances, chunksize=8))
     else:
         records = tuple(map(run, instances))
-    return FuzzReport(cfg, records, time.monotonic() - start)
+    return FuzzReport(records, time.monotonic() - start)

@@ -23,12 +23,14 @@ Two independent method families live here on purpose:
   parent's only way on, it takes the parent's reach less itself and runs
   no search of its own; that reach and its two-neighbour vertices are
   exactly what a fresh search would find.
-  longest_cycle keeps one table per root: for each key (end, reach, closers
-  in the reach, the only ones a way on can end at) the most vertices a node
-  reached it with, and prunes a node with no more. The node that set it is
-  no ancestor (those end elsewhere), so it is finished and found as long a
-  cycle as the pruned one could. No ancestor of the pinned witness is cut:
-  the rest of the witness would close that smaller prefix as long, earlier.
+  longest_cycle keeps one table per root: for each key (end, reach) the
+  most vertices a node reached it with, and prunes a node with no more. The
+  node that set it is no ancestor (those end elsewhere), so it is finished.
+  It left the root by the same or a smaller first step, so its closers
+  contain the later node's, and it found as long a cycle as the pruned one
+  could. No ancestor of the pinned witness is cut: the rest of the witness
+  would close that smaller prefix as long, earlier. The table is not shared
+  across roots: there the closers can differ at an equal key.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are the Bellman /
   Held-Karp dynamic program over (vertex subset, endpoint) states, run
   bit-parallel: per endpoint w, one integer of 2^n bits has bit S set when
@@ -67,8 +69,8 @@ class SolveLimits:
 
 DEFAULT_LIMITS = SolveLimits()
 
-# The subset-DP oracles' own cap: each walks a 2^n table. Fuzz stops its
-# cross-checks lower, at families.ORACLE_CROSS_CHECK_MAX_N, to stay cheap.
+# The subset-DP oracles' own cap: each walks a 2^n table. fuzz and
+# oracle-check cross-check every instance up to it.
 ORACLE_MAX_VERTICES = 16
 
 # longest_cycle clears a full dominance table, which only loses prunes
@@ -139,28 +141,27 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
     best_seq = [0]
     # One frame per vertex of seq, plus a bottom frame whose candidates are
     # the start vertices: todo holds the bitmask of neighbours still to try,
-    # taken lowest first, masks the vertices visited up to that frame, and
-    # forced the (reach, twos) of the frame's vertex when it has exactly one
-    # candidate, else None.
+    # taken lowest first, and forced the (reach, twos) of the frame's vertex
+    # when it has exactly one candidate, else None. visited is the bits of
+    # seq, so every pop from seq clears its bit.
     seq: list[int] = []
     todo = [(1 << n) - 1]
-    masks = [0]
+    visited = 0
     forced: list[tuple[int, int] | None] = [None]
     try:
         while todo:
             cand = todo[-1]
             if not cand:
                 todo.pop()
-                masks.pop()
                 forced.pop()
                 if seq:
-                    seq.pop()
+                    visited ^= 1 << seq.pop()
                 continue
             low = cand & -cand
             todo[-1] = cand ^ low
             budget.spend()
             v = low.bit_length() - 1
-            visited = masks[-1] | low
+            visited |= low
             seq.append(v)
             length = len(seq) - 1
             # strict, so the first optimal sequence found, the pinned
@@ -170,7 +171,7 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
                 best_seq = seq.copy()
             if best_len == n - 1:
                 # nothing is longer, so the bound below would prune too
-                seq.pop()
+                visited ^= 1 << seq.pop()
                 continue
             if forced[-1] is None:
                 reach, twos = _reach(adj, v, visited, adj[v], 0)
@@ -183,11 +184,10 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
             # a path from v runs through vertices with two neighbours in
             # reach + v and ends in at most one vertex with fewer
             if length + inner.bit_count() + (inner != reach) <= best_len:
-                seq.pop()
+                visited ^= 1 << seq.pop()
                 continue
             cand = adj[v] & ~visited
             todo.append(cand)
-            masks.append(visited)
             forced.append(None if cand & (cand - 1) else (reach, twos))
     except _BudgetHit as hit:
         raise SolveBudgetError(
@@ -225,27 +225,26 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 # it as its smallest vertex
                 continue
             # Frames as in longest_path; the bottom frame holds the root
-            # alone, and every mask blocks the vertices below the root, so
+            # alone, and visited also blocks the vertices below the root, so
             # each cycle is found from its smallest vertex only.
             seq: list[int] = []
             todo = [rootbit]
-            masks = [rootbit - 1]
+            visited = rootbit - 1
             forced: list[tuple[int, int] | None] = [None]
-            dominance: dict[tuple[int, int, int], int] = {}
+            dominance: dict[tuple[int, int], int] = {}
             while todo:
                 cand = todo[-1]
                 if not cand:
                     todo.pop()
-                    masks.pop()
                     forced.pop()
                     if seq:
-                        seq.pop()
+                        visited ^= 1 << seq.pop()
                     continue
                 low = cand & -cand
                 todo[-1] = cand ^ low
                 budget.spend()
                 v = low.bit_length() - 1
-                visited = masks[-1] | low
+                visited |= low
                 seq.append(v)
                 count = len(seq)
                 if count == 2:
@@ -267,15 +266,14 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 # through vertices with two neighbours in reach + v + root; an
                 # earlier node at this key with as many vertices found it all
                 if (not closers & reach or count + (reach & twos).bit_count() <= best_len
-                        or dominance.get(key := (v, reach, closers & reach), 0) >= count):
-                    seq.pop()
+                        or dominance.get(key := (v, reach), 0) >= count):
+                    visited ^= 1 << seq.pop()
                     continue
                 if len(dominance) >= DOMINANCE_CAP:
                     dominance.clear()
                 dominance[key] = count
                 cand = adj[v] & ~visited
                 todo.append(cand)
-                masks.append(visited)
                 forced.append(None if cand & (cand - 1) else (reach, twos))
     except _BudgetHit as hit:
         incumbent = validate_cycle(g, best_seq) if best_seq is not None else None
@@ -375,31 +373,29 @@ def all_longest_paths(g: Graph, max_vertices: int = 10) -> list[Path]:
     # and the depth-first order is already lexicographic.
     seq: list[int] = []
     todo = [(1 << g.n) - 1]
-    masks = [0]
+    visited = 0
     while todo:
         cand = todo[-1]
         if not cand:
             todo.pop()
-            masks.pop()
             if seq:
-                seq.pop()
+                visited ^= 1 << seq.pop()
             continue
         low = cand & -cand
         todo[-1] = cand ^ low
         v = low.bit_length() - 1
-        visited = masks[-1] | low
+        visited |= low
         seq.append(v)
         length = len(seq) - 1
         if length == target:
             if v > seq[0]:
                 found.append(validate_path(g, seq))
-            seq.pop()
+            visited ^= 1 << seq.pop()
             continue
         reach, twos = _reach(adj, v, visited, adj[v], 0)
         inner = reach & twos
         if length + inner.bit_count() + (inner != reach) < target:
-            seq.pop()
+            visited ^= 1 << seq.pop()
             continue
         todo.append(adj[v] & ~visited)
-        masks.append(visited)
     return found

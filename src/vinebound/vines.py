@@ -281,17 +281,11 @@ def _iter_vines(
         level = nxt
 
 
-def find_min_vine(
-    g: Graph,
-    p: Path,
-    ear_cap: int = DEFAULT_EAR_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Vine:
+def find_min_vine(g: Graph, p: Path) -> Vine:
     """A vine with the minimum possible number of ears; deterministic
     (breadth-first, so the lexicographically first minimum-size vine)."""
     require_two_connected(g)
-    ears = enumerate_ears(g, p, cap=ear_cap)
-    for vine in _iter_vines(p, ears, state_cap):
+    for vine in _iter_vines(p, enumerate_ears(g, p), DEFAULT_STATE_CAP):
         return vine
     raise InternalInvariantError(
         "vine search exhausted without finding a vine; existence is guaranteed "
@@ -303,7 +297,6 @@ def enumerate_vines(
     g: Graph,
     p: Path,
     max_count: int,
-    ear_cap: int = DEFAULT_EAR_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> VineEnumeration:
     """Up to max_count vines on p in deterministic (size, lexicographic)
@@ -311,7 +304,6 @@ def enumerate_vines(
     if max_count < 1:
         raise PreconditionError("max_count must be positive")
     require_two_connected(g)
-    ears = enumerate_ears(g, p, cap=ear_cap)
     # one vine past the cap, to tell a full enumeration from a cut one
-    vines = tuple(islice(_iter_vines(p, ears, state_cap), max_count + 1))
+    vines = tuple(islice(_iter_vines(p, enumerate_ears(g, p), state_cap), max_count + 1))
     return VineEnumeration(vines[:max_count], len(vines) > max_count)

@@ -389,3 +389,35 @@ def test_oracle_check_json(capsys):
     assert code == 0
     assert doc["summary"]["failed"] == 0
     assert all(rec["ok"] for rec in doc["instances"])
+
+
+def test_oracle_check_budget_human_output(capsys):
+    """oracle-check runs every instance: those out of budget read BUDGET,
+    and the exit 3 comes with one resource-limit line on stderr."""
+    code = main(["oracle-check", "--count", "5", "--nmax", "12", "--seed", "3",
+                 "--node-budget", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out.count(" BUDGET\n") == 2 and "MISMATCH" not in captured.out
+    assert "summary: 3/5 agree" in captured.out
+    assert captured.err == "resource limit: 2 of 5 instances ran out of a budget\n"
+
+
+def test_oracle_check_mismatch_exit_1(capsys, monkeypatch):
+    from vinebound import families
+
+    monkeypatch.setattr(families, "longest_cycle_oracle", lambda g: g.n + 1)
+    code = main(["oracle-check", "--count", "3", "--nmax", "8", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count(" MISMATCH\n") == 3
+    assert "oracle disagrees on c" in out
+
+
+def test_fuzz_cross_checks_up_to_the_oracle_cap(capsys):
+    code = main(["fuzz", "--count", "6", "--nmin", "13", "--nmax", "16", "--seed", "2",
+                 "--json", "-"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert {rec["n"] for rec in doc["instances"]} <= set(range(13, 17))
+    assert all(rec["oracle_checked"] for rec in doc["instances"])
