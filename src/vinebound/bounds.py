@@ -52,13 +52,7 @@ from .errors import (
 )
 from .graphs import Graph, Path, Cycle, require_two_connected, validate_cycle
 from .solvers import SolveLimits, DEFAULT_LIMITS, all_longest_paths, longest_cycle, longest_path
-from .vines import (
-    Vine,
-    _chain_failure,
-    _vine_verdict,
-    enumerate_vines,
-    find_min_vine,
-)
+from .vines import Vine, _chain_failure, _ear_fault, enumerate_vines, find_min_vine
 
 
 @dataclass(frozen=True)
@@ -97,11 +91,11 @@ class SegmentDecomposition:
 def _attachment_positions(vine: Vine) -> tuple[list[int], list[int]]:
     """Base-path positions (xs, ys) of the ears' ends, checked to form the chain."""
     pos = vine.base.positions
-    for ear in vine.ears:
-        if ear.x_attach not in pos or ear.y_attach not in pos:
-            raise PreconditionError("vine attachment off the base path")
-    xs = [pos[e.x_attach] for e in vine.ears]
-    ys = [pos[e.y_attach] for e in vine.ears]
+    try:
+        xs = [pos[e.x_attach] for e in vine.ears]
+        ys = [pos[e.y_attach] for e in vine.ears]
+    except KeyError:
+        raise PreconditionError("vine attachment off the base path") from None
     broken = _chain_failure(xs, ys, len(vine.base.vertices) - 1)
     if broken is not None:
         raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
@@ -414,29 +408,30 @@ def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
 def verify_all_vines(
     g: Graph, p: Path, l: int, c: int, max_vines: int
 ) -> tuple[int, bool, list[str]]:
-    """Run verify_vine_against over every enumerated vine on p (up to
-    max_vines); returns (vines checked, truncated?, violations)."""
+    """Certify each distinct ear of the vines enumerated on p (up to
+    max_vines) once, then run verify_vine_against over every vine; returns
+    (vines checked, truncated?, violations). enumerate_vines has certified
+    p; a vine's q0 or base-plus-ear cycle certifies its ear edges and that
+    the ears' interiors are disjoint."""
     enumeration = enumerate_vines(g, p, max_count=max_vines)
     violations: list[str] = []
-    faults: dict = {}  # one certification per distinct ear, shared by every vine
+    ears = {ear.vertices: ear for vine in enumeration.vines for ear in vine.ears}
+    for ear in ears.values():
+        fault = _ear_fault(g, p.positions, ear)
+        if type(fault) is tuple:
+            name = "-".join(map(str, ear.vertices))
+            violations.append(f"ear {name} fails the {fault[0]} check: {fault[1]}")
     for idx, vine in enumerate(enumeration.vines):
-        verdict = verify_vine_against(g, p, l, c, vine)
-        # enumerate_vines has certified p, the base of every vine it yields
-        inner = _vine_verdict(g, vine, faults)
-        if not inner.ok:
-            violations.append(f"vine #{idx} fails its own validity check: {inner.detail}")
-        for v in verdict.violations:
+        for v in verify_vine_against(g, p, l, c, vine).violations:
             violations.append(f"vine #{idx} (m={vine.m}): {v}")
     return len(enumeration.vines), enumeration.truncated, violations
 
 
-def verify_all_longest_paths(
-    g: Graph, l: int, c: int, max_vertices: int = 10
-) -> tuple[int, list[str]]:
+def verify_all_longest_paths(g: Graph, l: int, c: int) -> tuple[int, list[str]]:
     """Re-run the minimum-vine checks on every longest path (small graphs
     only); returns (paths checked, violations)."""
     violations: list[str] = []
-    paths = all_longest_paths(g, max_vertices=max_vertices)
+    paths = all_longest_paths(g)
     for idx, p in enumerate(paths):
         if p.length != l:
             violations.append(f"path #{idx} has length {p.length}, expected {l}")

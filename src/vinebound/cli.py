@@ -302,10 +302,10 @@ def cmd_fuzz(args) -> int:
         width = len(str(cfg.count))
         for r in report.records:
             status = "ok" if r.ok else "BUDGET" if r.resource_limited else "VIOLATION"
+            l, c, m, y, vines = _reached(r, "l", "c", "m", "slack", "vines_checked")
             print(
                 f"[{r.index + 1:>{width}}/{cfg.count}] seed={r.seed} n={r.n} "
-                f"extra={r.extra_placed} l={r.l} c={r.c} m={r.m} y={r.slack} "
-                f"vines={r.vines_checked} {status}"
+                f"extra={r.extra_placed} l={l} c={c} m={m} y={y} vines={vines} {status}"
             )
             for violation in r.violations:
                 print(f"    {violation}")
@@ -333,14 +333,19 @@ def cmd_oracle_check(args) -> int:
     if args.json != "-":
         for r in report.records:
             status = "ok" if r.ok else "BUDGET" if r.resource_limited else "MISMATCH"
-            print(
-                f"[{r.index + 1}/{cfg.count}] n={r.n} "
-                f"l={r.l}/{r.oracle_l} c={r.c}/{r.oracle_c} {status}"
-            )
+            l, oracle_l, c, oracle_c = _reached(r, "l", "oracle_l", "c", "oracle_c")
+            print(f"[{r.index + 1}/{cfg.count}] n={r.n} l={l}/{oracle_l} c={c}/{oracle_c} {status}")
             for violation in r.violations:
                 print(f"    {violation}")
-        print(f"summary: {report.passed}/{cfg.count} agree, {report.elapsed:.2f}s")
+        budget = sum(r.resource_limited for r in report.records)
+        budget_note = f", {budget} out of budget" if budget else ""
+        print(f"summary: {report.passed}/{cfg.count} agree{budget_note}, {report.elapsed:.2f}s")
     return _campaign_exit(report)
+
+
+def _reached(record, *names) -> list:
+    """The record's values of names, or "-" for each when verification raised."""
+    return ["-" if record.report is None else getattr(record, name) for name in names]
 
 
 def _campaign_exit(report: FuzzReport) -> int:

@@ -253,14 +253,14 @@ def _iter_vines(
     last_pos = len(p.vertices) - 1
     xs = [pos[e.x_attach] for e in ears]
     ys = [pos[e.y_attach] for e in ears]
-    interiors = [frozenset(e.interior) for e in ears]
-    # state: (ear index tuple, union of interiors, y position of previous ear, y position of last ear)
+    interiors = [sum(1 << v for v in e.interior) for e in ears]
+    # state: (ear index tuple, interiors as a bitmask, y position of previous ear, y position of last ear)
     level = [((i,), interiors[i], -1, ys[i]) for i in range(len(ears)) if xs[i] == 0]
     states = len(level)
     if states > state_cap:
         raise VineSearchCapError(state_cap)
     while level:
-        nxt: list[tuple[tuple[int, ...], frozenset[int], int, int]] = []
+        nxt: list[tuple[tuple[int, ...], int, int, int]] = []
         for chain, used, y_prev, y_last in level:
             if y_last == last_pos:
                 yield Vine(p, tuple(ears[i] for i in chain))
@@ -272,7 +272,7 @@ def _iter_vines(
                     break
                 if ys[j] <= y_last:
                     continue
-                if interiors[j] and not used.isdisjoint(interiors[j]):
+                if used & interiors[j]:
                     continue
                 nxt.append((chain + (j,), used | interiors[j], y_last, ys[j]))
                 states += 1

@@ -38,7 +38,7 @@ from vinebound.families import (
     extremal_path_length,
 )
 
-from conftest import cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 def x2_decomposition(x2):
@@ -410,6 +410,48 @@ def test_verify_all_vines_flags_impossible_claims(x2):
     # a circumference below m+2 must be flagged too
     _, _, violations = verify_all_vines(x2, p, l=6, c=4, max_vines=50)
     assert any("c >= m+2 violated" in v for v in violations)
+
+
+def test_verify_all_vines_checks_the_chain_once_per_vine(x2, monkeypatch):
+    from vinebound import bounds, vines
+
+    real = vines._chain_failure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # wrapped at every module attribute that refers to it
+    monkeypatch.setattr(vines, "_chain_failure", counted)
+    monkeypatch.setattr(bounds, "_chain_failure", counted)
+    for g in (x2, complete_graph(5)):
+        calls.clear()
+        p = longest_path(g)
+        l, c = p.length, longest_cycle(g).length
+        checked, truncated, violations = verify_all_vines(g, p, l, c, 200)
+        assert checked >= 1 and not truncated and violations == []
+        assert len(calls) == checked
+
+
+def test_verify_all_vines_reports_each_faulty_ear_once(tmp_path, x2, monkeypatch):
+    from vinebound import bounds, enumerate_vines, serialize_graph
+    from vinebound.cli import main
+
+    monkeypatch.setattr(bounds, "_ear_fault", lambda g, pos, ear: ("interior", "simulated fault"))
+    # K5's five vines hold ten ears, six of them distinct
+    for g in (x2, complete_graph(5)):
+        p = longest_path(g)
+        l, c = p.length, longest_cycle(g).length
+        held = [ear.vertices for vine in enumerate_vines(g, p, 200).vines for ear in vine.ears]
+        distinct = list(dict.fromkeys(held))
+        _, _, violations = verify_all_vines(g, p, l, c, 200)
+        assert len(violations) == len(distinct)
+        for line, vertices in zip(violations, distinct):
+            assert line.startswith(f"ear {'-'.join(map(str, vertices))} ") and "interior" in line
+    source = tmp_path / "x2.txt"
+    source.write_text(serialize_graph(x2))
+    assert main(["analyze", str(source), "--all-vines", "200"]) == 1
 
 
 def test_verify_all_longest_paths(x2):

@@ -403,6 +403,20 @@ def test_oracle_check_budget_human_output(capsys):
     assert captured.err == "resource limit: 2 of 5 instances ran out of a budget\n"
 
 
+def test_campaign_budget_lines_print_dashes_for_unreached_values(capsys):
+    """An instance whose verification raised prints "-" for each value it
+    never reached, and oracle-check's summary counts the budget failures."""
+    main(["oracle-check", "--count", "5", "--nmax", "12", "--seed", "3", "--node-budget", "20"])
+    out = capsys.readouterr().out
+    assert "None" not in out
+    assert out.count(" l=-/- c=-/- BUDGET\n") == 2
+    assert "summary: 3/5 agree, 2 out of budget, " in out
+    main(["fuzz", "--count", "8", "--nmin", "4", "--nmax", "12", "--seed", "1",
+          "--node-budget", "20"])
+    out = capsys.readouterr().out
+    assert sum(" l=- c=- m=- y=- vines=- BUDGET" in line for line in out.splitlines()) == 4
+
+
 def test_oracle_check_mismatch_exit_1(capsys, monkeypatch):
     from vinebound import families
 
