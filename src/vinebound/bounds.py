@@ -395,10 +395,7 @@ def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
         violations.append(f"Dirac bound violated: c^2={c * c} <= 2l={2 * l}")
     if not dirac.conjecture_a:
         violations.append(f"sharp Dirac bound violated: c^2={c * c} < 4l={4 * l}")
-    if verdict.bound_met and not dirac.conjecture_a:
-        violations.append("implication broken: main bound holds but c^2 < 4l")
-    if dirac.conjecture_a and not dirac.theorem_a:
-        violations.append("implication broken: c^2 >= 4l but c^2 <= 2l")
+    # bound_met implies c^2 >= 4l (bound^2 >= 4l as slack >= 0), which implies c^2 > 2l (l >= 1)
     return BoundReport(
         **(vars(verdict) | {"violations": tuple(violations)}),
         n=g.n, edge_count=g.edge_count, l=l, c=c, dirac=dirac, path=path, cycle=cycle, vine=vine,

@@ -63,7 +63,7 @@ class SolveLimits:
     time_budget: float = 60.0
 
     def __post_init__(self):
-        if self.node_budget <= 0 or self.time_budget <= 0:
+        if not (self.node_budget > 0 and self.time_budget > 0):
             raise PreconditionError("all solve limits must be positive")
 
 

@@ -198,20 +198,18 @@ def _ear_fault(g: Graph, pos: dict[int, int], ear: Ear) -> tuple[str, str] | int
     return mask
 
 
-def _vine_verdict(
-    g: Graph, vine: Vine, faults: dict[tuple[int, ...], tuple[str, str] | int]
-) -> VineVerdict:
-    """verify_vine on a certified base path. faults maps the vertices of
-    each ear already seen on this graph and base path to its _ear_fault
-    result, so an ear shared by many vines is certified once."""
+def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
+    """Check every vine condition; report the first violated clause."""
+    try:
+        validate_path(g, vine.base.vertices)
+    except PathValidationError as exc:
+        return VineVerdict(False, "base", f"base path invalid: {exc}")
     if vine.m == 0:
         return VineVerdict(False, "empty", "a vine needs at least one ear")
     pos = vine.base.positions
     masks = []
     for i, ear in enumerate(vine.ears, start=1):
-        fault = faults.get(ear.vertices)
-        if fault is None:
-            fault = faults[ear.vertices] = _ear_fault(g, pos, ear)
+        fault = _ear_fault(g, pos, ear)
         if type(fault) is tuple:
             return VineVerdict(False, fault[0], f"ear {i} {fault[1]}", (i,))
         masks.append(fault)
@@ -231,15 +229,6 @@ def _vine_verdict(
     if broken is not None:
         return VineVerdict(False, "chain", broken)
     return VineVerdict(True)
-
-
-def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
-    """Check every vine condition; report the first violated clause."""
-    try:
-        validate_path(g, vine.base.vertices)
-    except PathValidationError as exc:
-        return VineVerdict(False, "base", f"base path invalid: {exc}")
-    return _vine_verdict(g, vine, {})
 
 
 def _iter_vines(

@@ -8,7 +8,7 @@ from vinebound import (
 from vinebound.errors import InternalInvariantError, ResourceLimitError
 from vinebound.cli import main
 
-from conftest import path_graph, x2_graph
+from conftest import cycle_graph, path_graph, x2_graph
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -244,6 +244,32 @@ def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, x2, mo
     assert captured.err.splitlines() == ["internal error: ValueError: simulated crash"]
 
 
+def test_failed_invariant_exits_1(tmp_path, capsys, x2, monkeypatch):
+    def broken(g, limits):
+        raise InternalInvariantError("simulated bug")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code = main(["analyze", write_graph(tmp_path, x2)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("internal invariant failed")
+
+
+def test_analyze_time_budget_exit_3(tmp_path, capsys):
+    code = main(["analyze", write_graph(tmp_path, cycle_graph(5000)), "--time-budget", "1e-9"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("resource limit: ")
+    assert "time budget exhausted" in lines[0]
+
+
+def test_analyze_nan_time_budget_exit_2(tmp_path, capsys, x2):
+    code = main(["analyze", write_graph(tmp_path, x2), "--time-budget", "nan"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines == ["error: all solve limits must be positive"]
+
+
 # ------------------------------------------------------------------
 # extremal
 # ------------------------------------------------------------------
@@ -280,6 +306,18 @@ def test_extremal_certificate_roundtrip(tmp_path, capsys):
     code = main(["analyze", str(out_file)])
     assert code == 0
     assert "TIGHT" in capsys.readouterr().out
+
+
+def test_extremal_verify_fails_on_a_wrong_report(capsys, monkeypatch):
+    import dataclasses
+
+    real_analyze = cli.analyze
+    monkeypatch.setattr(
+        cli, "analyze", lambda g, limits: dataclasses.replace(real_analyze(g, limits), tight=False)
+    )
+    code = main(["extremal", "--m", "3", "--slack", "0", "--verify"])
+    assert code == 1
+    assert "verify failed: expected l=6 c=5 m=3 slack=0 tight" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------
@@ -426,6 +464,16 @@ def test_oracle_check_mismatch_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out.count(" MISMATCH\n") == 3
     assert "oracle disagrees on c" in out
+
+
+def test_fuzz_oracle_mismatch_on_l_exit_1(capsys, monkeypatch):
+    from vinebound import families
+
+    monkeypatch.setattr(families, "longest_path_oracle", lambda g: g.n)
+    code = main(["fuzz", "--count", "3", "--nmin", "4", "--nmax", "8", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "oracle disagrees on l" in out
 
 
 def test_fuzz_cross_checks_up_to_the_oracle_cap(capsys):

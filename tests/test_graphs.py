@@ -308,3 +308,15 @@ def test_canonical_cycle():
     assert canonical_cycle([2, 1, 0, 3]) == (0, 1, 2, 3)
     assert canonical_cycle([3, 0, 1, 2]) == (0, 1, 2, 3)
     assert canonical_cycle([1, 0, 4, 3]) == (0, 1, 3, 4)
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("a b\n0 1", 1),
+    ("3 -1", 1),
+    ("3 1\n0 1 2", 2),
+])
+def test_parse_errors_name_the_line(text, line_no):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")

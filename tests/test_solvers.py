@@ -354,3 +354,18 @@ def test_limits_validation():
         SolveLimits(node_budget=0)
     with pytest.raises(PreconditionError):
         SolveLimits(time_budget=-1)
+
+
+@pytest.mark.parametrize("field", ["node_budget", "time_budget"])
+def test_limits_reject_nan(field):
+    with pytest.raises(PreconditionError, match="all solve limits must be positive"):
+        SolveLimits(**{field: float("nan")})
+
+
+def test_time_budget_stops_the_search():
+    # the clock is read every 4096 nodes, so the first read already stops it
+    with pytest.raises(SolveBudgetError) as err:
+        longest_path(cycle_graph(5000), SolveLimits(time_budget=1e-9))
+    assert str(err.value) == (
+        "longest_path: time budget exhausted; best non-optimal path has length 4094"
+    )

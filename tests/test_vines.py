@@ -278,3 +278,15 @@ def test_vine_on_arbitrary_path(c5):
     assert verify_vine(c5, vine).ok
     assert vine_pairs(vine) == [(1, 3)]
     assert vine.ears[0].interior == (0, 4)
+
+
+@pytest.mark.parametrize("pairs, detail", [
+    ([(0, 3), (1, 4), (2, 6)], "need y_1 <= x_3, got positions 3, 2"),
+    ([(0, 3), (1, 4), (4, 6)], "need x_3 < y_2, got positions 4, 4"),
+    ([(6, 0)], "ear 1 attachments are not oriented along the path"),
+])
+def test_verify_vine_names_the_broken_chain_link(pairs, detail):
+    g = complete_graph(7)
+    p = validate_path(g, range(7))
+    verdict = verify_vine(g, Vine(p, [Ear(pair) for pair in pairs]))
+    assert (verdict.ok, verdict.clause, verdict.detail) == (False, "chain", detail)
