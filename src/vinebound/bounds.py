@@ -19,9 +19,10 @@ b_i for the segment lengths, three cycle families exist by construction:
 
 All three are ladders: the ladder over ears s..t runs forward along ears
 s+1, s+3, ... and back along the others down to s, joined by base-path
-runs, so q0, q_j and qstar are the ladders over ears 1..m, j+1..m-j and
-m/2 alone. A single ear (m = 1) has no segments: q0 is then the base
-path plus the ear, the ladder over ear 1, and shows c >= l + 1.
+runs, so its length is sum(|L_i| + a_i, s <= i <= t) + b_{s-1} + b_t,
+reading b_0 = b_m = 0. q0, q_j and qstar are the ladders over ears 1..m,
+j+1..m-j and m/2 alone. A single ear (m = 1) has no segments: q0 is then
+the base path plus the ear, the ladder over ear 1, and shows c >= l + 1.
 
 Each is a simple cycle, so its length is at most the circumference c.
 With slack y = c - m - 2 (non-negative because q0 shows c >= m + 2) the
@@ -160,10 +161,17 @@ def _certify(g: Graph, vertices, expected_len: int, label: str) -> Cycle:
     return cycle
 
 
+def _ladder_cycle(g: Graph, d: SegmentDecomposition, s: int, t: int, label: str) -> Cycle:
+    """The ladder over the 0-based ears s..t, certified at its length by the
+    module docstring's identity (where the ears are 1-based)."""
+    b = (0, *d.b, 0)
+    expected = sum(d.vine.ears[i].length + d.a[i] for i in range(s, t + 1)) + b[s] + b[t + 1]
+    return _certify(g, _ladder(d.vine, s, t), expected, label)
+
+
 def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
     """Cycle through every ear and every A segment; length sum(ears) + sum(a)."""
-    expected = sum(ear.length for ear in d.vine.ears) + sum(d.a)
-    return _certify(g, _ladder(d.vine, 0, d.m - 1), expected, "q0 cycle")
+    return _ladder_cycle(g, d, 0, d.m - 1, "q0 cycle")
 
 
 def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
@@ -171,12 +179,7 @@ def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
     m = d.m
     if not 1 <= j <= (m - 1) // 2:
         raise PreconditionError(f"j must lie in [1, {(m - 1) // 2}] for m={m}, got {j}")
-    expected = (
-        sum(d.vine.ears[i - 1].length + d.a[i - 1] for i in range(j + 1, m - j + 1))
-        + d.b[j - 1]
-        + d.b[m - j - 1]
-    )
-    return _certify(g, _ladder(d.vine, j, m - j - 1), expected, f"q{j} cycle")
+    return _ladder_cycle(g, d, j, m - j - 1, f"q{j} cycle")
 
 
 def build_qstar(g: Graph, d: SegmentDecomposition) -> Cycle:
@@ -186,10 +189,7 @@ def build_qstar(g: Graph, d: SegmentDecomposition) -> Cycle:
     if m % 2 != 0:
         raise PreconditionError(f"qstar needs an even ear count, got m={m}")
     h = m // 2
-    expected = d.b[h - 1] + d.a[h - 1] + d.vine.ears[h - 1].length
-    if h >= 2:
-        expected += d.b[h - 2]
-    return _certify(g, _ladder(d.vine, h - 1, h - 1), expected, "qstar cycle")
+    return _ladder_cycle(g, d, h - 1, h - 1, "qstar cycle")
 
 
 @dataclass(frozen=True)

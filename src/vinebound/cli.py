@@ -42,7 +42,7 @@ from .families import (
     fuzz_campaign,
 )
 from .graphs import parse_graph, serialize_graph
-from .solvers import ORACLE_MAX_VERTICES, SolveLimits
+from .solvers import EXHAUSTIVE_MAX_VERTICES, ORACLE_MAX_VERTICES, SolveLimits
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--all-vines", type=int, metavar="CAP", default=None,
                            help="additionally check every vine on the longest path, up to CAP")
     p_analyze.add_argument("--exhaustive-paths", action="store_true",
-                           help="re-check every longest path (graphs with at most 10 vertices)")
+                           help="re-check every longest path (graphs with at most "
+                                f"{EXHAUSTIVE_MAX_VERTICES} vertices)")
     _add_limit_flags(p_analyze)
 
     p_extremal = sub.add_parser("extremal", help="emit a tight family instance")
@@ -308,9 +309,10 @@ def cmd_fuzz(args) -> int:
             )
             for violation in r.violations:
                 print(f"    {violation}")
+        budget = report.out_of_budget
         print(
             f"summary: {report.passed}/{len(report.records)} passed, "
-            f"{report.failed} violations, {report.elapsed:.2f}s"
+            f"{report.failed - budget} violations{_budget_note(budget)}, {report.elapsed:.2f}s"
         )
     return _campaign_exit(report)
 
@@ -336,9 +338,8 @@ def cmd_oracle_check(args) -> int:
             print(f"[{r.index + 1}/{cfg.count}] n={r.n} l={l}/{oracle_l} c={c}/{oracle_c} {status}")
             for violation in r.violations:
                 print(f"    {violation}")
-        budget = sum(r.resource_limited for r in report.records)
-        budget_note = f", {budget} out of budget" if budget else ""
-        print(f"summary: {report.passed}/{cfg.count} agree{budget_note}, {report.elapsed:.2f}s")
+        note = _budget_note(report.out_of_budget)
+        print(f"summary: {report.passed}/{cfg.count} agree{note}, {report.elapsed:.2f}s")
     return _campaign_exit(report)
 
 
@@ -347,12 +348,17 @@ def _reached(record, *names) -> list:
     return ["-" if record.report is None else getattr(record, name) for name in names]
 
 
+def _budget_note(budget: int) -> str:
+    """The summary line's count of instances out of budget, if any."""
+    return f", {budget} out of budget" if budget else ""
+
+
 def _campaign_exit(report: FuzzReport) -> int:
     """0 when every instance passed; a ResourceLimitError when only
     budgets failed; else 1."""
     if report.ok:
         return EXIT_OK
-    if all(r.resource_limited for r in report.records if not r.ok):
+    if report.out_of_budget == report.failed:
         raise ResourceLimitError(f"{report.failed} of {len(report.records)} instances ran out of a budget")
     return EXIT_VIOLATION
 

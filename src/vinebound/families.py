@@ -221,6 +221,10 @@ class FuzzReport:
         return len(self.records) - self.passed
 
     @property
+    def out_of_budget(self) -> int:
+        return sum(1 for r in self.records if r.resource_limited)
+
+    @property
     def ok(self) -> bool:
         return self.failed == 0
 

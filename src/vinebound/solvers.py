@@ -73,6 +73,8 @@ DEFAULT_LIMITS = SolveLimits()
 # oracle-check cross-check every instance up to it.
 ORACLE_MAX_VERTICES = 16
 
+EXHAUSTIVE_MAX_VERTICES = 10  # all_longest_paths lists every longest path
+
 # longest_cycle clears a full dominance table, which only loses prunes
 DOMINANCE_CAP = 1 << 16
 
@@ -358,14 +360,14 @@ def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> i
     return best
 
 
-def all_longest_paths(g: Graph, max_vertices: int = 10) -> list[Path]:
+def all_longest_paths(g: Graph) -> list[Path]:
     """Every longest path, orientation-normalized, in lexicographic order.
-    Exhaustive, so capped to small graphs."""
-    if g.n > max_vertices:
-        raise PreconditionError(f"exhaustive path listing capped at {max_vertices} vertices")
+    Exhaustive, so capped at EXHAUSTIVE_MAX_VERTICES."""
+    if g.n > EXHAUSTIVE_MAX_VERTICES:
+        raise PreconditionError(f"exhaustive path listing capped at {EXHAUSTIVE_MAX_VERTICES} vertices")
     if g.n < 2:
         raise PreconditionError("needs at least two vertices")
-    target = longest_path_oracle(g, max_vertices=max_vertices)
+    target = longest_path_oracle(g)
     adj = g.adjacency_bits
     found: list[Path] = []
     # Frames as in longest_path, without an incumbent: every sequence of

@@ -102,9 +102,9 @@ class VineEnumeration:
     truncated: bool
 
 
-def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
+def enumerate_ears(g: Graph, p: Path) -> list[Ear]:
     """All ears on p, ordered by (first attachment position, second
-    attachment position, interior sequence).
+    attachment position, interior sequence); at most DEFAULT_EAR_CAP.
 
     Single edges of p itself are excluded: the strict inequalities in the
     interleaving chain make them unusable in any vine, so dropping them
@@ -116,8 +116,8 @@ def enumerate_ears(g: Graph, p: Path, cap: int = DEFAULT_EAR_CAP) -> list[Ear]:
     ears: list[Ear] = []
 
     def record(vertices: tuple[int, ...]) -> None:
-        if len(ears) >= cap:
-            raise EarCapError(cap, len(ears))
+        if len(ears) >= DEFAULT_EAR_CAP:
+            raise EarCapError(DEFAULT_EAR_CAP, len(ears))
         ears.append(Ear(vertices))
 
     for u in p.vertices:
@@ -231,13 +231,11 @@ def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
     return VineVerdict(True)
 
 
-def _iter_vines(
-    p: Path,
-    ears: list[Ear],
-    state_cap: int,
-) -> Iterator[Vine]:
-    """Yield vines breadth-first: by ear count, then lexicographically by
-    ear index in the enumerate_ears order."""
+def _iter_vines(g: Graph, p: Path) -> Iterator[Vine]:
+    """Yield the vines on p by ear count, then lexicographically by ear index
+    (enumerate_ears order); at most DEFAULT_STATE_CAP partial chains."""
+    require_two_connected(g)
+    ears = enumerate_ears(g, p)
     pos = p.positions
     last_pos = len(p.vertices) - 1
     xs = [pos[e.x_attach] for e in ears]
@@ -246,8 +244,8 @@ def _iter_vines(
     # state: (ear index tuple, interiors as a bitmask, y position of previous ear, y position of last ear)
     level = [((i,), interiors[i], -1, ys[i]) for i in range(len(ears)) if xs[i] == 0]
     states = len(level)
-    if states > state_cap:
-        raise VineSearchCapError(state_cap)
+    if states > DEFAULT_STATE_CAP:
+        raise VineSearchCapError(DEFAULT_STATE_CAP)
     while level:
         nxt: list[tuple[tuple[int, ...], int, int, int]] = []
         for chain, used, y_prev, y_last in level:
@@ -265,16 +263,15 @@ def _iter_vines(
                     continue
                 nxt.append((chain + (j,), used | interiors[j], y_last, ys[j]))
                 states += 1
-                if states > state_cap:
-                    raise VineSearchCapError(state_cap)
+                if states > DEFAULT_STATE_CAP:
+                    raise VineSearchCapError(DEFAULT_STATE_CAP)
         level = nxt
 
 
 def find_min_vine(g: Graph, p: Path) -> Vine:
     """A vine with the minimum possible number of ears; deterministic
     (breadth-first, so the lexicographically first minimum-size vine)."""
-    require_two_connected(g)
-    for vine in _iter_vines(p, enumerate_ears(g, p), DEFAULT_STATE_CAP):
+    for vine in _iter_vines(g, p):
         return vine
     raise InternalInvariantError(
         "vine search exhausted without finding a vine; existence is guaranteed "
@@ -282,17 +279,11 @@ def find_min_vine(g: Graph, p: Path) -> Vine:
     )
 
 
-def enumerate_vines(
-    g: Graph,
-    p: Path,
-    max_count: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> VineEnumeration:
+def enumerate_vines(g: Graph, p: Path, max_count: int) -> VineEnumeration:
     """Up to max_count vines on p in deterministic (size, lexicographic)
     order, with a flag saying whether the enumeration was cut short."""
     if max_count < 1:
         raise PreconditionError("max_count must be positive")
-    require_two_connected(g)
     # one vine past the cap, to tell a full enumeration from a cut one
-    vines = tuple(islice(_iter_vines(p, enumerate_ears(g, p), state_cap), max_count + 1))
+    vines = tuple(islice(_iter_vines(g, p), max_count + 1))
     return VineEnumeration(vines[:max_count], len(vines) > max_count)

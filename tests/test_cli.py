@@ -177,6 +177,23 @@ def test_analyze_all_vines_and_exhaustive(tmp_path, capsys, x2):
     assert "all-vines: checked" in capsys.readouterr().out
 
 
+def test_analyze_exhaustive_paths_above_the_cap_is_an_input_error(tmp_path, capsys):
+    code = main(["analyze", write_graph(tmp_path, cycle_graph(11)), "--exhaustive-paths"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == ["error: exhaustive path listing capped at 10 vertices"]
+
+
+def test_analyze_reads_the_ear_cap_at_call_time(tmp_path, capsys, x2, monkeypatch):
+    from vinebound import vines
+
+    monkeypatch.setattr(vines, "DEFAULT_EAR_CAP", 2)
+    code = main(["analyze", write_graph(tmp_path, x2)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert err == ["resource limit: ear cap 2 exceeded (2 ears found before stopping)"]
+
+
 def test_analyze_all_vines_says_when_it_stopped_at_the_cap(tmp_path, capsys):
     # three vines on this graph's longest path
     source = write_graph(tmp_path, random_two_connected(12, 12, 5)[0])
@@ -392,7 +409,8 @@ def test_fuzz_exit_code_beside_a_budget_failure(capsys, monkeypatch, second, exp
     monkeypatch.setattr(families, "analyze", doctored)
     code = main(["fuzz", "--count", "3", "--nmin", "4", "--nmax", "8", "--seed", "5"])
     assert code == expected
-    assert "summary: 1/3 passed, 2 violations" in capsys.readouterr().out
+    violations = "0 violations, 2 out of budget" if expected == 3 else "1 violations, 1 out of budget"
+    assert f"summary: 1/3 passed, {violations}, " in capsys.readouterr().out
 
 
 def test_fuzz_budget_human_output(capsys):

@@ -19,6 +19,7 @@ from vinebound import (
 )
 
 from conftest import complete_graph, cycle_graph
+from vinebound import vines
 from vinebound.families import random_two_connected
 
 
@@ -75,10 +76,11 @@ def test_ears_deterministic_order(x2):
     assert ears_as_pairs(enumerate_ears(x2, p)) == ears_as_pairs(enumerate_ears(x2, p))
 
 
-def test_ear_cap(k4):
+def test_ear_cap(k4, monkeypatch):
+    monkeypatch.setattr(vines, "DEFAULT_EAR_CAP", 2)
     p = validate_path(k4, [0, 1, 2, 3])
     with pytest.raises(EarCapError) as err:
-        enumerate_ears(k4, p, cap=2)
+        enumerate_ears(k4, p)
     assert err.value.partial_count == 2
 
 
@@ -242,11 +244,12 @@ def test_enumerate_vines_truncation(k4):
     assert enum.truncated and len(enum.vines) == 1
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(vines, "DEFAULT_STATE_CAP", 5)
     g = complete_graph(9)
     p = longest_path(g)
     with pytest.raises(VineSearchCapError):
-        enumerate_vines(g, p, max_count=100_000, state_cap=5)
+        enumerate_vines(g, p, max_count=100_000)
 
 
 # ------------------------------------------------------------------
