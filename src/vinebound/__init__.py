@@ -57,6 +57,7 @@ from .bounds import (
     Inequality2Verdict,
     SegmentDecomposition,
     analyze,
+    analyze_all_vines,
     build_q0,
     build_qj,
     build_qstar,

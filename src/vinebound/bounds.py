@@ -71,22 +71,18 @@ class SegmentDecomposition:
     b_spans: tuple[tuple[int, int], ...]
 
     @property
-    def base(self) -> Path:
-        return self.vine.base
-
-    @property
     def m(self) -> int:
         return self.vine.m
 
     def a_vertices(self, i: int) -> tuple[int, ...]:
         """Vertex run of the 1-based segment A_i."""
         s, e = self.a_spans[i - 1]
-        return self.base.vertices[s : e + 1]
+        return self.vine.base.vertices[s : e + 1]
 
     def b_vertices(self, i: int) -> tuple[int, ...]:
         """Vertex run of the 1-based segment B_i."""
         s, e = self.b_spans[i - 1]
-        return self.base.vertices[s : e + 1]
+        return self.vine.base.vertices[s : e + 1]
 
 
 def _attachment_positions(vine: Vine) -> tuple[list[int], list[int]]:
@@ -104,7 +100,9 @@ def _attachment_positions(vine: Vine) -> tuple[list[int], list[int]]:
 
 
 def decompose(vine: Vine) -> SegmentDecomposition:
-    """Cut the base path into the A/B segments induced by the vine.
+    """Cut the base path into the A/B segments induced by the vine. The
+    interleaving chain, checked first, makes them tile the path with the
+    lengths the module docstring gives.
 
     Requires m >= 2; a single ear has no segments, and its cycle, the base
     path plus the ear, is the ladder over ear 1.
@@ -122,12 +120,6 @@ def decompose(vine: Vine) -> SegmentDecomposition:
     b_spans = [(xs[i + 1], ys[i]) for i in range(m - 1)]
     a = tuple(e - s for s, e in a_spans)
     b = tuple(e - s for s, e in b_spans)
-    if sum(a) + sum(b) != vine.base.length:
-        raise InternalInvariantError(
-            f"segment tiling broken: sum(a)={sum(a)} sum(b)={sum(b)} path length={vine.base.length}"
-        )
-    if a[0] < 1 or a[-1] < 1 or any(x < 0 for x in a) or any(x < 1 for x in b):
-        raise InternalInvariantError(f"segment length bounds violated: a={a} b={b}")
     return SegmentDecomposition(vine, a, b, tuple(a_spans), tuple(b_spans))
 
 
@@ -379,15 +371,28 @@ class BoundReport(VineVerification):
 def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
     """Full pipeline: solve for l and c exactly, take the minimum-ear vine
     on the canonical longest path, and check everything it certifies."""
+    return analyze_all_vines(g, limits, None)[0]
+
+
+def analyze_all_vines(
+    g: Graph, limits: SolveLimits, max_vines: int | None
+) -> tuple[BoundReport, int, bool, list[str]]:
+    """analyze, plus with a cap verify_all_vines on the same path from one vine
+    enumeration, whose vine #0 is the minimum vine. Returns the report, the
+    vines checked, truncated?, and the violations beyond the report's own."""
     require_two_connected(g)
     path = longest_path(g, limits)
     cycle = longest_cycle(g, limits)
     l, c = path.length, cycle.length
-    vine = find_min_vine(g, path)
-    verdict = verify_vine_against(g, path, l, c, vine)
+    if max_vines is None:
+        vines, truncated, more = (find_min_vine(g, path),), False, []
+        verdict = verify_vine_against(g, path, l, c, vines[0])
+    else:
+        vines, truncated, verdicts, more = _vine_pass(g, path, l, c, max_vines)
+        verdict = verdicts[0]
     if verdict.slack < 0:
         raise InternalInvariantError(
-            f"minimum vine has negative slack: c={c} m={vine.m}; contradicts c >= m+2"
+            f"minimum vine has negative slack: c={c} m={verdict.m}; contradicts c >= m+2"
         )
     violations = list(verdict.violations)
     dirac = dirac_check(l, c)
@@ -396,32 +401,39 @@ def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
     if not dirac.conjecture_a:
         violations.append(f"sharp Dirac bound violated: c^2={c * c} < 4l={4 * l}")
     # bound_met implies c^2 >= 4l (bound^2 >= 4l as slack >= 0), which implies c^2 > 2l (l >= 1)
-    return BoundReport(
+    report = BoundReport(
         **(vars(verdict) | {"violations": tuple(violations)}),
-        n=g.n, edge_count=g.edge_count, l=l, c=c, dirac=dirac, path=path, cycle=cycle, vine=vine,
+        n=g.n, edge_count=g.edge_count, l=l, c=c, dirac=dirac, path=path, cycle=cycle, vine=vines[0],
     )
+    return report, len(vines), truncated, more
+
+
+def _vine_pass(
+    g: Graph, p: Path, l: int, c: int, max_vines: int
+) -> tuple[tuple[Vine, ...], bool, list[VineVerification], list[str]]:
+    """verify_all_vines with every vine's verdict. enumerate_vines has certified
+    p; a vine's q0 or base-plus-ear cycle certifies its ear edges and that the
+    ears' interiors are disjoint, so each distinct ear is checked once."""
+    vines, truncated = enumerate_vines(g, p, max_count=max_vines)
+    verdicts = [verify_vine_against(g, p, l, c, vine) for vine in vines]
+    violations: list[str] = []
+    for ear in {ear.vertices: ear for vine in vines for ear in vine.ears}.values():
+        fault = _ear_fault(g, p.positions, ear)
+        if type(fault) is tuple:
+            name = "-".join(map(str, ear.vertices))
+            violations.append(f"ear {name} fails the {fault[0]} check: {fault[1]}")
+    for idx, (vine, verdict) in enumerate(zip(vines, verdicts)):
+        violations.extend(f"vine #{idx} (m={vine.m}): {v}" for v in verdict.violations)
+    return vines, truncated, verdicts, violations
 
 
 def verify_all_vines(
     g: Graph, p: Path, l: int, c: int, max_vines: int
 ) -> tuple[int, bool, list[str]]:
-    """Certify each distinct ear of the vines enumerated on p (up to
-    max_vines) once, then run verify_vine_against over every vine; returns
-    (vines checked, truncated?, violations). enumerate_vines has certified
-    p; a vine's q0 or base-plus-ear cycle certifies its ear edges and that
-    the ears' interiors are disjoint."""
-    enumeration = enumerate_vines(g, p, max_count=max_vines)
-    violations: list[str] = []
-    ears = {ear.vertices: ear for vine in enumeration.vines for ear in vine.ears}
-    for ear in ears.values():
-        fault = _ear_fault(g, p.positions, ear)
-        if type(fault) is tuple:
-            name = "-".join(map(str, ear.vertices))
-            violations.append(f"ear {name} fails the {fault[0]} check: {fault[1]}")
-    for idx, vine in enumerate(enumeration.vines):
-        for v in verify_vine_against(g, p, l, c, vine).violations:
-            violations.append(f"vine #{idx} (m={vine.m}): {v}")
-    return len(enumeration.vines), enumeration.truncated, violations
+    """Check every vine on p, up to max_vines, against l and c; returns
+    (vines checked, truncated?, violations)."""
+    vines, truncated, _, violations = _vine_pass(g, p, l, c, max_vines)
+    return len(vines), truncated, violations
 
 
 def verify_all_longest_paths(g: Graph, l: int, c: int) -> tuple[int, list[str]]:

@@ -22,9 +22,9 @@ import sys
 from .bounds import (
     BoundReport,
     analyze,
+    analyze_all_vines,
     circumference_bound,
     verify_all_longest_paths,
-    verify_all_vines,
 )
 from .errors import (
     GraphParseError,
@@ -214,6 +214,8 @@ def _verbose_dump(report: BoundReport) -> str:
 
 
 def cmd_analyze(args) -> int:
+    if args.all_vines is not None and args.all_vines < 1:
+        raise PreconditionError(f"--all-vines must be at least 1, got {args.all_vines}")
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -221,12 +223,10 @@ def cmd_analyze(args) -> int:
         raise PreconditionError(f"{args.graph}: {exc}") from None
     g = parse_graph(text)
     limits = _limits_from_args(args)
-    report = analyze(g, limits)
-    vines_checked, truncated, extra_violations = None, False, []
-    if args.all_vines is not None:
-        vines_checked, truncated, extra_violations = verify_all_vines(
-            g, report.path, report.l, report.c, args.all_vines
-        )
+    if args.all_vines is None:
+        report, vines_checked, truncated, extra_violations = analyze(g, limits), None, False, []
+    else:
+        report, vines_checked, truncated, extra_violations = analyze_all_vines(g, limits, args.all_vines)
     if args.exhaustive_paths:
         _, more = verify_all_longest_paths(g, report.l, report.c)
         extra_violations.extend(more)
@@ -273,13 +273,8 @@ def cmd_extremal(args) -> int:
         sys.stdout.write(text)
     if args.verify:
         report = analyze(g, _limits_from_args(args))
-        ok = (
-            report.ok
-            and report.tight
-            and report.l == expected_l
-            and report.c == expected_c
-            and report.m == spec.m
-        )
+        expected = (expected_l, expected_c, spec.m)
+        ok = report.ok and report.tight and (report.l, report.c, report.m) == expected
         print(f"verify: {_summary_line(report)}")
         if not ok:
             print(

@@ -52,7 +52,6 @@ class EarCapError(ResourceLimitError):
 
     def __init__(self, cap: int, partial_count: int):
         super().__init__(f"ear cap {cap} exceeded ({partial_count} ears found before stopping)")
-        self.cap = cap
         self.partial_count = partial_count
 
 
@@ -61,7 +60,6 @@ class VineSearchCapError(ResourceLimitError):
 
     def __init__(self, cap: int):
         super().__init__(f"vine search state cap {cap} exceeded")
-        self.cap = cap
 
 
 class InternalInvariantError(VineboundError):

@@ -18,9 +18,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Iterator
 
-from .bounds import BoundReport, analyze, verify_all_vines
+from .bounds import BoundReport, analyze_all_vines
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, VineboundError
 from .graphs import Graph, Path, is_two_connected, serialize_graph, validate_path
 from .solvers import ORACLE_MAX_VERTICES, SolveLimits, longest_cycle_oracle, longest_path_oracle
@@ -75,14 +76,7 @@ def extremal_graph(spec: ExtremalSpec) -> tuple[Graph, Path, Vine]:
     a, b = extremal_segment_lengths(spec)
     m = spec.m
     # positions of the attachment points, reading the tiling a1 b1 a2 ... b_{m-1} am
-    segments: list[int] = []
-    for i in range(m - 1):
-        segments.append(a[i])
-        segments.append(b[i])
-    segments.append(a[m - 1])
-    points = [0]
-    for length in segments:
-        points.append(points[-1] + length)
+    points = list(accumulate([x for i in range(m - 1) for x in (a[i], b[i])] + [a[m - 1]], initial=0))
     xs = [points[0]] + [points[2 * k - 1] for k in range(1, m)]
     ys = [points[2 * k] for k in range(1, m)] + [points[2 * m - 1]]
     n = points[-1] + 1
@@ -235,10 +229,8 @@ def _run_fuzz_instance(
     index, n, extra, seed = instance
     g, placed = random_two_connected(n, extra, seed)
     try:
-        report = analyze(g, limits)
-        violations = list(report.violations)
-        checked, truncated, more = verify_all_vines(g, report.path, report.l, report.c, vine_cap)
-        violations.extend(more)
+        report, checked, truncated, more = analyze_all_vines(g, limits, vine_cap)
+        violations = [*report.violations, *more]
         oracle_l = oracle_c = None
         if g.n <= ORACLE_MAX_VERTICES:
             oracle_l = longest_path_oracle(g)

@@ -10,7 +10,7 @@ with x_1 at P's first vertex and y_m at its last (for m = 1 the single
 ear attaches exactly at P's endpoints). Positions refer to P's order;
 x_i/y_i are ear i's first/second attachment in that order.
 
-Every 2-connected graph admits a vine on every path; ``find_min_vine``
+Every 2-connected graph admits a vine on every path; the vine search
 relies on that and treats exhaustion as an internal error.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     EarCapError,
@@ -92,12 +92,8 @@ class VineVerdict:
     detail: str = ""
     ear_indices: tuple[int, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
 
-
-@dataclass(frozen=True)
-class VineEnumeration:
+class VineEnumeration(NamedTuple):
     vines: tuple[Vine, ...]
     truncated: bool
 
@@ -233,7 +229,7 @@ def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
 
 def _iter_vines(g: Graph, p: Path) -> Iterator[Vine]:
     """Yield the vines on p by ear count, then lexicographically by ear index
-    (enumerate_ears order); at most DEFAULT_STATE_CAP partial chains."""
+    (enumerate_ears order), at least one; at most DEFAULT_STATE_CAP partial chains."""
     require_two_connected(g)
     ears = enumerate_ears(g, p)
     pos = p.positions
@@ -246,10 +242,12 @@ def _iter_vines(g: Graph, p: Path) -> Iterator[Vine]:
     states = len(level)
     if states > DEFAULT_STATE_CAP:
         raise VineSearchCapError(DEFAULT_STATE_CAP)
+    found = False
     while level:
         nxt: list[tuple[tuple[int, ...], int, int, int]] = []
         for chain, used, y_prev, y_last in level:
             if y_last == last_pos:
+                found = True
                 yield Vine(p, tuple(ears[i] for i in chain))
                 continue  # complete states cannot extend (next y would need to pass the end)
             lo = 1 if len(chain) == 1 else y_prev
@@ -266,17 +264,17 @@ def _iter_vines(g: Graph, p: Path) -> Iterator[Vine]:
                 if states > DEFAULT_STATE_CAP:
                     raise VineSearchCapError(DEFAULT_STATE_CAP)
         level = nxt
+    if not found:
+        raise InternalInvariantError(
+            "vine search exhausted without finding a vine; existence is guaranteed "
+            "for any path in a 2-connected graph, so this is a bug"
+        )
 
 
 def find_min_vine(g: Graph, p: Path) -> Vine:
     """A vine with the minimum possible number of ears; deterministic
     (breadth-first, so the lexicographically first minimum-size vine)."""
-    for vine in _iter_vines(g, p):
-        return vine
-    raise InternalInvariantError(
-        "vine search exhausted without finding a vine; existence is guaranteed "
-        "for any path in a 2-connected graph, so this is a bug"
-    )
+    return next(_iter_vines(g, p))
 
 
 def enumerate_vines(g: Graph, p: Path, max_count: int) -> VineEnumeration:

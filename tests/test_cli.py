@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +288,24 @@ def test_analyze_nan_time_budget_exit_2(tmp_path, capsys, x2):
     assert lines == ["error: all solve limits must be positive"]
 
 
+def test_analyze_all_vines_below_one_is_rejected_before_solving(tmp_path, capsys, x2, monkeypatch):
+    import vinebound.cli as cli_module
+
+    def unreachable(*args):
+        raise AssertionError("the graph was solved")
+
+    monkeypatch.setattr(cli_module, "analyze_all_vines", unreachable)
+    target = tmp_path / "report.json"
+    for cap in ("0", "-3"):
+        code = main(["analyze", write_graph(tmp_path, x2), "--all-vines", cap, "--json", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--all-vines" in lines[0]
+        assert not target.exists()
+
+
 # ------------------------------------------------------------------
 # extremal
 # ------------------------------------------------------------------
@@ -393,20 +412,20 @@ def test_fuzz_exit_code_beside_a_budget_failure(capsys, monkeypatch, second, exp
     import dataclasses
 
     from vinebound import families
-    from vinebound import analyze as real_analyze
+    from vinebound import analyze_all_vines as real_analyze
 
     outcomes = [ResourceLimitError("simulated budget"), second]
 
-    def doctored(g, limits):
-        report = real_analyze(g, limits)
+    def doctored(g, limits, max_vines):
+        report, *rest = real_analyze(g, limits, max_vines)
         if not outcomes:
-            return report
+            return report, *rest
         outcome = outcomes.pop(0)
         if outcome is None:
-            return dataclasses.replace(report, violations=("forced test violation",))
+            return dataclasses.replace(report, violations=("forced test violation",)), *rest
         raise outcome
 
-    monkeypatch.setattr(families, "analyze", doctored)
+    monkeypatch.setattr(families, "analyze_all_vines", doctored)
     code = main(["fuzz", "--count", "3", "--nmin", "4", "--nmax", "8", "--seed", "5"])
     assert code == expected
     violations = "0 violations, 2 out of budget" if expected == 3 else "1 violations, 1 out of budget"
@@ -422,6 +441,103 @@ def test_fuzz_budget_human_output(capsys):
     assert code == 3
     assert captured.out.count(" BUDGET\n") == 4 and "VIOLATION" not in captured.out
     assert captured.err == "resource limit: 4 of 8 instances ran out of a budget\n"
+
+
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) function at every vinebound module attribute
+    that refers to it; return the per-name call counts."""
+    import sys
+
+    calls = {}
+    for module, name in targets:
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "vinebound"]:
+            for attr in [a for a, v in vars(mod).items() if v is original]:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_each_checked_graph_runs_one_vine_pass(capsys, monkeypatch):
+    """One ear enumeration per fuzz instance and per analyze --all-vines run,
+    and one verify_vine_against call per enumerated vine."""
+    from vinebound import bounds, vines
+
+    calls = _count_calls(monkeypatch, (vines, "enumerate_ears"), (bounds, "verify_vine_against"))
+    assert main(["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7",
+                 "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == {
+        "enumerate_ears": 20,
+        "verify_vine_against": sum(r["vines_checked"] for r in doc["instances"]),
+    }
+    monkeypatch.chdir(GOLDEN)
+    for name in calls:
+        calls[name] = 0
+    assert main(["analyze", "x2.txt", "--all-vines", "200", "--verbose"]) == 0
+    assert "all-vines: checked 1" in capsys.readouterr().out
+    assert calls == {"enumerate_ears": 1, "verify_vine_against": 1}
+
+
+@pytest.fixture
+def forced_violations(monkeypatch):
+    """Every bound off by one, both Dirac checks failed, and each ear that
+    starts at the base path's first vertex faulted."""
+    from vinebound import bounds
+
+    real_fault = bounds._ear_fault
+
+    def fault(g, pos, ear):
+        if pos[ear.x_attach] == 0:
+            return "interior", "simulated fault"
+        return real_fault(g, pos, ear)
+
+    monkeypatch.setattr(bounds, "circumference_bound_squared",
+                        lambda l, slack, m: (slack + m + 2) ** 2 + 1)
+    monkeypatch.setattr(bounds, "dirac_check", lambda l, c: bounds.DiracVerdict(False, False))
+    monkeypatch.setattr(bounds, "_ear_fault", fault)
+
+
+def test_all_vines_violation_lines_keep_their_order(capsys, monkeypatch, forced_violations):
+    """The report's lines, then one line per faulty ear, then each vine's
+    lines by index, word for word."""
+    monkeypatch.chdir(GOLDEN)
+    assert main(["analyze", "x2.txt", "--all-vines", "200", "--verbose"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("violation:", "all-vines:"))] == [
+        "violation: bound violated: c^2=25 < 26 (l=6 slack=0 m=3)",
+        "violation: Dirac bound violated: c^2=25 <= 2l=12",
+        "violation: sharp Dirac bound violated: c^2=25 < 4l=24",
+        "all-vines: checked 1",
+        "violation: ear 0-3 fails the interior check: simulated fault",
+        "violation: vine #0 (m=3): bound violated: c^2=25 < 26 (l=6 slack=0 m=3)",
+    ]
+    assert main(["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7",
+                 "--json", "-"]) == 1
+    record = json.loads(capsys.readouterr().out)["instances"][11]
+    assert record["vines_checked"] == 5
+    assert record["violations"] == [
+        "bound violated: c^2=144 < 145 (l=11 slack=9 m=1)",
+        "Dirac bound violated: c^2=144 <= 2l=22",
+        "sharp Dirac bound violated: c^2=144 < 4l=44",
+        "ear 0-9 fails the interior check: simulated fault",
+        "ear 0-11 fails the interior check: simulated fault",
+        "ear 0-10 fails the interior check: simulated fault",
+        "ear 0-4 fails the interior check: simulated fault",
+        "vine #0 (m=1): bound violated: c^2=144 < 145 (l=11 slack=9 m=1)",
+        "vine #1 (m=2): bound violated: c^2=144 < 145 (l=11 slack=8 m=2)",
+        "vine #2 (m=2): bound violated: c^2=144 < 145 (l=11 slack=8 m=2)",
+        "vine #3 (m=3): bound violated: c^2=144 < 145 (l=11 slack=7 m=3)",
+        "vine #4 (m=4): bound violated: c^2=144 < 145 (l=11 slack=6 m=4)",
+    ]
 
 
 # ------------------------------------------------------------------
