@@ -3,7 +3,9 @@
 Subcommands: ``analyze`` a graph file, ``extremal`` to emit a tight
 family instance, ``fuzz`` for seeded random campaigns, and
 ``oracle-check``, a fuzz campaign over n 3..nmax that reports each
-instance as the search's and the subset-DP oracles' l and c.
+instance as the search's and the subset-DP oracles' l and c. Both
+campaign commands share one runner, which writes the report, prints the
+instance and summary lines and picks the exit code.
 
 Exit codes: 0 all checks pass, 1 any violation (counterexample
 candidate), 2 input error, 3 resource limit hit. A fuzz or oracle-check
@@ -35,7 +37,6 @@ from .errors import (
 from .families import (
     ExtremalSpec,
     FuzzConfig,
-    FuzzReport,
     extremal_cycle_length,
     extremal_graph,
     extremal_path_length,
@@ -131,6 +132,9 @@ _ORACLE_KEYS = {
     "index": "index", "seed": "seed", "n": "n", "l_search": "l", "l_oracle": "oracle_l",
     "c_search": "c", "c_oracle": "oracle_c", "ok": "ok",
 }
+# The record values that verification yields; an instance line prints "-"
+# for each when verification raised.
+_REACHED = ("l", "c", "m", "slack", "vines_checked", "oracle_l", "oracle_c")
 
 
 def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
@@ -152,27 +156,6 @@ def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
             "vine": {"ears": [list(ear.vertices) for ear in report.vine.ears]},
         },
     }
-
-
-def _campaign_document(command: dict, instances: list[dict], failed: int) -> dict:
-    """The pinned schema of a fuzz or oracle-check report."""
-    count = len(instances)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "instances": instances,
-        "summary": {"count": count, "passed": count - failed, "failed": failed},
-    }
-
-
-def fuzz_document(report: FuzzReport, command: dict) -> dict:
-    instances = []
-    for r in report.records:
-        record = {key: getattr(r, key) for key in _RECORD_KEYS}
-        if r.graph_text is not None:
-            record["graph"] = r.graph_text
-        instances.append(record)
-    return _campaign_document(command, instances, report.failed)
 
 
 def _write_json(doc: dict, target: str) -> None:
@@ -214,8 +197,6 @@ def _verbose_dump(report: BoundReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    if args.all_vines is not None and args.all_vines < 1:
-        raise PreconditionError(f"--all-vines must be at least 1, got {args.all_vines}")
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -285,31 +266,23 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
+def _fuzz_record(r) -> dict:
+    record = {key: getattr(r, key) for key in _RECORD_KEYS}
+    if r.graph_text is not None:
+        record["graph"] = r.graph_text
+    return record
+
+
 def cmd_fuzz(args) -> int:
     values = [getattr(args, key) for key in _FUZZ_KEYS]
     cfg = FuzzConfig(*values, jobs=args.jobs, limits=_limits_from_args(args))
-    report = fuzz_campaign(cfg)
     command = {"name": "fuzz", **dict(zip(_FUZZ_KEYS, values))}
-    doc = fuzz_document(report, command)
-    if args.json is not None:
-        _write_json(doc, args.json)
-    if args.json != "-":
-        width = len(str(cfg.count))
-        for r in report.records:
-            status = "ok" if r.ok else "BUDGET" if r.resource_limited else "VIOLATION"
-            l, c, m, y, vines = _reached(r, "l", "c", "m", "slack", "vines_checked")
-            print(
-                f"[{r.index + 1:>{width}}/{cfg.count}] seed={r.seed} n={r.n} "
-                f"extra={r.extra_placed} l={l} c={c} m={m} y={y} vines={vines} {status}"
-            )
-            for violation in r.violations:
-                print(f"    {violation}")
-        budget = report.out_of_budget
-        print(
-            f"summary: {report.passed}/{len(report.records)} passed, "
-            f"{report.failed - budget} violations{_budget_note(budget)}, {report.elapsed:.2f}s"
-        )
-    return _campaign_exit(report)
+    return _run_campaign(
+        cfg, args.json, command, _fuzz_record,
+        "[{i:>{width}}/{count}] seed={r.seed} n={r.n} extra={r.extra_placed} "
+        "l={l} c={c} m={m} y={slack} vines={vines_checked}",
+        "VIOLATION", "{passed}/{count} passed, {violations} violations",
+    )
 
 
 def cmd_oracle_check(args) -> int:
@@ -319,43 +292,46 @@ def cmd_oracle_check(args) -> int:
         )
     cfg = FuzzConfig(args.count, 3, args.nmax, args.seed, extra_max=None,
                      limits=_limits_from_args(args))
-    report = fuzz_campaign(cfg)
-    instances = [{key: getattr(r, name) for key, name in _ORACLE_KEYS.items()}
-                 for r in report.records]
     command = {"name": "oracle-check", "count": args.count, "nmax": args.nmax, "seed": args.seed}
-    doc = _campaign_document(command, instances, report.failed)
-    if args.json is not None:
-        _write_json(doc, args.json)
-    if args.json != "-":
+    return _run_campaign(
+        cfg, args.json, command,
+        lambda r: {key: getattr(r, name) for key, name in _ORACLE_KEYS.items()},
+        "[{i}/{count}] n={r.n} l={l}/{oracle_l} c={c}/{oracle_c}",
+        "MISMATCH", "{passed}/{count} agree",
+    )
+
+
+def _run_campaign(cfg: FuzzConfig, target: str | None, command: dict, to_json, line: str,
+                  failure: str, summary: str) -> int:
+    """Run one campaign and write its report, with to_json(record) per
+    instance, to target. Unless that is stdout, print for each instance line
+    formatted with the record r, its number i, count, width and the _REACHED
+    values, then its status and its violations, indented; then summary
+    formatted with passed, count and violations. Return 0 when every instance
+    passed; raise ResourceLimitError when only budgets failed; else return 1."""
+    report = fuzz_campaign(cfg)
+    count, failed, budget = len(report.records), report.failed, report.out_of_budget
+    if target is not None:
+        _write_json({
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "instances": [to_json(r) for r in report.records],
+            "summary": {"count": count, "passed": count - failed, "failed": failed},
+        }, target)
+    if target != "-":
+        width = len(str(count))
         for r in report.records:
-            status = "ok" if r.ok else "BUDGET" if r.resource_limited else "MISMATCH"
-            l, oracle_l, c, oracle_c = _reached(r, "l", "oracle_l", "c", "oracle_c")
-            print(f"[{r.index + 1}/{cfg.count}] n={r.n} l={l}/{oracle_l} c={c}/{oracle_c} {status}")
+            status = "ok" if r.ok else "BUDGET" if r.resource_limited else failure
+            reached = {name: "-" if r.report is None else getattr(r, name) for name in _REACHED}
+            print(line.format(r=r, i=r.index + 1, count=count, width=width, **reached), status)
             for violation in r.violations:
                 print(f"    {violation}")
-        note = _budget_note(report.out_of_budget)
-        print(f"summary: {report.passed}/{cfg.count} agree{note}, {report.elapsed:.2f}s")
-    return _campaign_exit(report)
-
-
-def _reached(record, *names) -> list:
-    """The record's values of names, or "-" for each when verification raised."""
-    return ["-" if record.report is None else getattr(record, name) for name in names]
-
-
-def _budget_note(budget: int) -> str:
-    """The summary line's count of instances out of budget, if any."""
-    return f", {budget} out of budget" if budget else ""
-
-
-def _campaign_exit(report: FuzzReport) -> int:
-    """0 when every instance passed; a ResourceLimitError when only
-    budgets failed; else 1."""
-    if report.ok:
-        return EXIT_OK
-    if report.out_of_budget == report.failed:
-        raise ResourceLimitError(f"{report.failed} of {len(report.records)} instances ran out of a budget")
-    return EXIT_VIOLATION
+        text = summary.format(passed=count - failed, count=count, violations=failed - budget)
+        note = f", {budget} out of budget" if budget else ""
+        print(f"summary: {text}{note}, {report.elapsed:.2f}s")
+    if failed and budget == failed:
+        raise ResourceLimitError(f"{failed} of {count} instances ran out of a budget")
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 _HANDLERS = {
@@ -383,6 +359,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        for flag in ("--count", "--vine-cap", "--jobs", "--all-vines"):  # each at least 1
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < 1:
+                raise PreconditionError(f"{flag} must be at least 1, got {value}")
         return handler(args)
     except (GraphParseError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

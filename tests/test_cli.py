@@ -617,3 +617,25 @@ def test_fuzz_cross_checks_up_to_the_oracle_cap(capsys):
     assert code == 0
     assert {rec["n"] for rec in doc["instances"]} <= set(range(13, 17))
     assert all(rec["oracle_checked"] for rec in doc["instances"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fuzz", "--count", "0", "--nmin", "4", "--nmax", "8", "--seed", "1"], "--count"),
+    (["fuzz", "--count", "2", "--nmin", "4", "--nmax", "8", "--seed", "1", "--vine-cap", "0"],
+     "--vine-cap"),
+    (["fuzz", "--count", "2", "--nmin", "4", "--nmax", "8", "--seed", "1", "--jobs", "0"],
+     "--jobs"),
+    (["oracle-check", "--count", "0", "--nmax", "8", "--seed", "1"], "--count"),
+], ids=["fuzz-count", "fuzz-vine-cap", "fuzz-jobs", "oracle-check-count"])
+def test_campaign_flag_below_one_names_the_flag(argv, flag, capsys, monkeypatch):
+    """A campaign flag below 1 is an input error that names the flag, raised
+    before any instance runs."""
+
+    def unreachable(cfg):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "fuzz_campaign", unreachable)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got 0"]

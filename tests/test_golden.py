@@ -1,15 +1,16 @@
-"""Frozen JSON reports: each command must keep writing exactly these bytes.
+"""Frozen reports: each command must keep writing exactly these bytes.
 
 The files under tests/golden/ were written by the command lines below;
 regenerate one only when a change to its report is intended. The
 budget-limited fuzz report was written by the command line in
-BUDGET_FUZZ. ``analyze``
-runs inside tests/golden/ so that the graph path the report echoes is
-the bare file name. The graphs x1.txt, x2.txt and x4.txt are the
+BUDGET_FUZZ, and the campaigns' human output by those in HUMAN_CASES.
+``analyze`` runs inside tests/golden/ so that the graph path the report
+echoes is the bare file name. The graphs x1.txt, x2.txt and x4.txt are the
 ``extremal`` instances for m = 2, 3, 4 (slack 0, 0, 2) without their
 comment lines; c7.txt is a 7-cycle.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,26 @@ def test_budget_limited_fuzz_exits_3_with_golden_bytes(jobs, capsys):
     assert main(BUDGET_FUZZ + ["--jobs", jobs]) == 3
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / "fuzz_budget_seed1.json").read_bytes()
+
+
+# The human output of four campaigns: stdout in NAME.out and stderr in
+# NAME.err, written by the command lines below. Only the elapsed seconds at
+# the end of the summary line differ between runs; the goldens read
+# "<elapsed>s" there.
+HUMAN_CASES = [
+    ("fuzz_seed7", 0, ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7"]),
+    ("fuzz_budget_seed1", 3, BUDGET_FUZZ[:-2]),
+    ("oracle_check_seed3", 0, ["oracle-check", "--count", "20", "--nmax", "11", "--seed", "3"]),
+    ("oracle_check_budget_seed3", 3,
+     ["oracle-check", "--count", "5", "--nmax", "12", "--seed", "3", "--node-budget", "20"]),
+]
+ELAPSED = re.compile(r"(?m)^(summary: .*, )\d+\.\d\ds$")
+
+
+@pytest.mark.parametrize("name, code, argv", HUMAN_CASES, ids=[name for name, *_ in HUMAN_CASES])
+def test_campaign_human_output_matches_golden_text(name, code, argv, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    out = ELAPSED.sub(r"\1<elapsed>s", captured.out)
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    assert captured.err.splitlines() == (GOLDEN / f"{name}.err").read_text("utf-8").splitlines()
