@@ -1,16 +1,17 @@
 """Segment decomposition of a vined path, the cycle constructions built
 from it, and the sharp circumference bound they certify.
 
-For a vine L_1..L_m (m >= 2) on a base path, the attachment points tile
+For a vine L_1..L_m (m >= 1) on a base path, the attachment points tile
 the path into segments read left to right as
 
     A_1 B_1 A_2 B_2 ... B_{m-1} A_m
 
 where B_i = x_{i+1}..y_i is the overlap of ear i's span with ear i+1's
-span (at least one edge each), and A_i bridges between overlaps: A_1 =
-x_1..x_2, A_m = y_{m-1}..y_m (at least one edge each), and A_i =
-y_{i-1}..x_{i+1} for the middle indices (possibly empty). Writing a_i,
-b_i for the segment lengths, three cycle families exist by construction:
+span (at least one edge each), and A_i = y_{i-1}..x_{i+1} bridges between
+overlaps, reading y_0 as x_1 and x_{m+1} as y_m (A_1 and A_m have at least
+one edge each, the middle A_i may be empty). A single ear has one A
+segment, the whole path, and no B. Writing a_i, b_i for the segment
+lengths, three cycle families exist by construction:
 
     q0     = all ears plus all A segments,
     q_j    = ears/A segments for i in [j+1, m-j] plus B_j and B_{m-j},
@@ -21,12 +22,12 @@ All three are ladders: the ladder over ears s..t runs forward along ears
 s+1, s+3, ... and back along the others down to s, joined by base-path
 runs, so its length is sum(|L_i| + a_i, s <= i <= t) + b_{s-1} + b_t,
 reading b_0 = b_m = 0. q0, q_j and qstar are the ladders over ears 1..m,
-j+1..m-j and m/2 alone. A single ear (m = 1) has no segments: q0 is then
-the base path plus the ear, the ladder over ear 1, and shows c >= l + 1.
+j+1..m-j and m/2 alone. For a single ear q0 is the base path plus the
+ear and shows c >= l + 1.
 
 Each is a simple cycle, so its length is at most the circumference c.
 With slack y = c - m - 2 (non-negative because q0 shows c >= m + 2) the
-cycle lengths force the segment inequalities
+cycle lengths force the segment inequalities, for m >= 2,
 
     (1)  a_1 + a_m     <= y + 2      - sum(a_i, 2 <= i <= m-1)
     (2)  b_j + b_{m-j} <= y + 2(j+1) - sum(a_i, j+1 <= i <= m-j)
@@ -58,17 +59,12 @@ from .vines import Vine, _chain_failure, _ear_fault, enumerate_vines, find_min_v
 
 @dataclass(frozen=True)
 class SegmentDecomposition:
-    """Segment lengths and spans induced by a vine with m >= 2 ears.
-
-    Spans are (start, end) position pairs on the base path, inclusive;
-    a[i] and b[i] are 0-based views of the 1-based a_{i+1}, b_{i+1}.
-    """
+    """Segment lengths induced by a vine with m >= 1 ears; a[i] and b[i] are
+    0-based views of the 1-based a_{i+1}, b_{i+1}."""
 
     vine: Vine
     a: tuple[int, ...]
     b: tuple[int, ...]
-    a_spans: tuple[tuple[int, int], ...]
-    b_spans: tuple[tuple[int, int], ...]
 
     @property
     def m(self) -> int:
@@ -76,17 +72,21 @@ class SegmentDecomposition:
 
     def a_vertices(self, i: int) -> tuple[int, ...]:
         """Vertex run of the 1-based segment A_i."""
-        s, e = self.a_spans[i - 1]
-        return self.vine.base.vertices[s : e + 1]
+        start = sum(self.a[: i - 1]) + sum(self.b[: i - 1])
+        return self.vine.base.vertices[start : start + self.a[i - 1] + 1]
 
     def b_vertices(self, i: int) -> tuple[int, ...]:
         """Vertex run of the 1-based segment B_i."""
-        s, e = self.b_spans[i - 1]
-        return self.vine.base.vertices[s : e + 1]
+        start = sum(self.a[:i]) + sum(self.b[: i - 1])
+        return self.vine.base.vertices[start : start + self.b[i - 1] + 1]
 
 
-def _attachment_positions(vine: Vine) -> tuple[list[int], list[int]]:
-    """Base-path positions (xs, ys) of the ears' ends, checked to form the chain."""
+def decompose(vine: Vine) -> SegmentDecomposition:
+    """Cut the base path into the A/B segments induced by the vine. The
+    interleaving chain, checked first, makes them tile the path with the
+    lengths the module docstring gives."""
+    if vine.m < 1:
+        raise PreconditionError("segment decomposition needs a vine with at least one ear")
     pos = vine.base.positions
     try:
         xs = [pos[e.x_attach] for e in vine.ears]
@@ -96,31 +96,10 @@ def _attachment_positions(vine: Vine) -> tuple[list[int], list[int]]:
     broken = _chain_failure(xs, ys, len(vine.base.vertices) - 1)
     if broken is not None:
         raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
-    return xs, ys
-
-
-def decompose(vine: Vine) -> SegmentDecomposition:
-    """Cut the base path into the A/B segments induced by the vine. The
-    interleaving chain, checked first, makes them tile the path with the
-    lengths the module docstring gives.
-
-    Requires m >= 2; a single ear has no segments, and its cycle, the base
-    path plus the ear, is the ladder over ear 1.
-    """
-    m = vine.m
-    if m < 2:
-        raise PreconditionError(
-            "segment decomposition needs a vine with at least two ears; "
-            "single-ear vines are handled by the dedicated m=1 pathway"
-        )
-    xs, ys = _attachment_positions(vine)
-    a_spans = [(xs[0], xs[1])]
-    a_spans += [(ys[i - 1], xs[i + 1]) for i in range(1, m - 1)]
-    a_spans += [(ys[m - 2], ys[m - 1])]
-    b_spans = [(xs[i + 1], ys[i]) for i in range(m - 1)]
-    a = tuple(e - s for s, e in a_spans)
-    b = tuple(e - s for s, e in b_spans)
-    return SegmentDecomposition(vine, a, b, tuple(a_spans), tuple(b_spans))
+    # A_i = y_{i-1}..x_{i+1} with y_0 = x_1 and x_{m+1} = y_m; B_i = x_{i+1}..y_i
+    a = tuple(x - y for y, x in zip([xs[0], *ys], [*xs[1:], ys[-1]]))
+    b = tuple(y - x for x, y in zip(xs[1:], ys))
+    return SegmentDecomposition(vine, a, b)
 
 
 def _ladder(vine: Vine, s: int, t: int) -> list[int]:
@@ -161,9 +140,14 @@ def _ladder_cycle(g: Graph, d: SegmentDecomposition, s: int, t: int, label: str)
     return _certify(g, _ladder(d.vine, s, t), expected, label)
 
 
+def _q0_label(m: int) -> str:
+    return "q0 cycle" if m > 1 else "base-plus-ear cycle"
+
+
 def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
-    """Cycle through every ear and every A segment; length sum(ears) + sum(a)."""
-    return _ladder_cycle(g, d, 0, d.m - 1, "q0 cycle")
+    """Cycle through every ear and every A segment; length sum(ears) + sum(a).
+    For a single ear that is the base path plus the ear."""
+    return _ladder_cycle(g, d, 0, d.m - 1, _q0_label(d.m))
 
 
 def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
@@ -207,7 +191,9 @@ class Inequality2Verdict:
 
 
 def check_inequality_1(d: SegmentDecomposition, c: int) -> Inequality1Verdict:
-    """End-segment inequality against the certified circumference c."""
+    """End-segment inequality against the certified circumference c; needs m >= 2."""
+    if d.m < 2:
+        raise PreconditionError(f"inequality (1) needs at least two ears, got m={d.m}")
     slack = c - d.m - 2
     if slack < 0:
         raise InternalInvariantError(
@@ -308,14 +294,9 @@ def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVe
     tight = c * c == bound_sq
     if not bound_met:
         violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
-    if m == 1:
-        _attachment_positions(vine)
-        label = "base-plus-ear cycle"
-        expected = vine.base.length + vine.ears[0].length
-        lengths = {label: _certify(g, _ladder(vine, 0, 0), expected, label).length}
-        ineq1, ineq2 = None, ()
-    else:
-        d = decompose(vine)
+    d = decompose(vine)
+    ineq1, ineq2 = None, ()
+    if m >= 2:
         ineq1 = check_inequality_1(d, c)
         if not ineq1.ok:
             violations.append(f"inequality (1) violated: {ineq1.lhs} > {ineq1.rhs}")
@@ -325,10 +306,10 @@ def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVe
                 violations.append(
                     f"inequality (2) violated at j={verdict.j}: {verdict.lhs} > {verdict.rhs}"
                 )
-        lengths = {"q0 cycle": build_q0(g, d).length}
-        lengths.update((f"q{v.j} cycle", build_qj(g, d, v.j).length) for v in ineq2)
-        if m % 2 == 0:
-            lengths["qstar cycle"] = build_qstar(g, d).length
+    lengths = {_q0_label(m): build_q0(g, d).length}
+    lengths.update((f"q{v.j} cycle", build_qj(g, d, v.j).length) for v in ineq2)
+    if m % 2 == 0:
+        lengths["qstar cycle"] = build_qstar(g, d).length
     for label, length in lengths.items():
         if length > c:
             violations.append(f"{label} longer than the circumference: {length} > {c}")

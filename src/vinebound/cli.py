@@ -167,8 +167,8 @@ def _write_json(doc: dict, target: str) -> None:
             fh.write(text)
 
 
-def _summary_line(report: BoundReport) -> str:
-    status = "VIOLATION" if report.violations else ("TIGHT" if report.tight else "OK")
+def _summary_line(report: BoundReport, violated: bool) -> str:
+    status = "VIOLATION" if violated else ("TIGHT" if report.tight else "OK")
     return (
         f"l={report.l} c={report.c} m={report.m} y={report.slack} "
         f"bound={report.bound:.6f} {status}"
@@ -211,6 +211,7 @@ def cmd_analyze(args) -> int:
     if args.exhaustive_paths:
         _, more = verify_all_longest_paths(g, report.l, report.c)
         extra_violations.extend(more)
+    violated = bool(report.violations or extra_violations)
     command = {
         "name": "analyze",
         "source": args.graph,
@@ -221,7 +222,7 @@ def cmd_analyze(args) -> int:
     if args.json is not None:
         _write_json(doc, args.json)
     if args.json != "-":
-        print(_summary_line(report))
+        print(_summary_line(report, violated))
         if args.verbose:
             print(_verbose_dump(report))
             if vines_checked is not None:
@@ -229,7 +230,7 @@ def cmd_analyze(args) -> int:
                 print(f"all-vines: checked {vines_checked}{cap}")
         for violation in extra_violations:
             print(f"violation: {violation}")
-    return EXIT_VIOLATION if (report.violations or extra_violations) else EXIT_OK
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def cmd_extremal(args) -> int:
@@ -256,7 +257,7 @@ def cmd_extremal(args) -> int:
         report = analyze(g, _limits_from_args(args))
         expected = (expected_l, expected_c, spec.m)
         ok = report.ok and report.tight and (report.l, report.c, report.m) == expected
-        print(f"verify: {_summary_line(report)}")
+        print(f"verify: {_summary_line(report, not report.ok)}")
         if not ok:
             print(
                 f"verify failed: expected l={expected_l} c={expected_c} "
@@ -274,6 +275,15 @@ def _fuzz_record(r) -> dict:
 
 
 def cmd_fuzz(args) -> int:
+    if not 3 <= args.nmin <= args.nmax:
+        raise PreconditionError(
+            f"need 3 <= --nmin <= --nmax, got --nmin={args.nmin} --nmax={args.nmax}"
+        )
+    if not 0 <= args.extra_min <= args.extra_max:
+        raise PreconditionError(
+            f"need 0 <= --extra-min <= --extra-max, got --extra-min={args.extra_min} "
+            f"--extra-max={args.extra_max}"
+        )
     values = [getattr(args, key) for key in _FUZZ_KEYS]
     cfg = FuzzConfig(*values, jobs=args.jobs, limits=_limits_from_args(args))
     command = {"name": "fuzz", **dict(zip(_FUZZ_KEYS, values))}
@@ -288,7 +298,7 @@ def cmd_fuzz(args) -> int:
 def cmd_oracle_check(args) -> int:
     if not 3 <= args.nmax <= ORACLE_MAX_VERTICES:
         raise PreconditionError(
-            f"nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
+            f"--nmax must lie in [3, {ORACLE_MAX_VERTICES}] for the oracle, got {args.nmax}"
         )
     cfg = FuzzConfig(args.count, 3, args.nmax, args.seed, extra_max=None,
                      limits=_limits_from_args(args))

@@ -91,11 +91,23 @@ def test_decompose_tiling_invariant(x2, x1, theta, k4):
         assert all(x >= 0 for x in d.a) and all(x >= 1 for x in d.b)
 
 
-def test_decompose_rejects_single_ear(c5):
+def test_decompose_single_ear():
+    # one A segment, the whole path, and no B; q0 is the base path plus the ear
+    for n, path, ear in ((5, range(5), (0, 4)), (7, range(6), (0, 6, 5))):
+        g = cycle_graph(n)
+        p = validate_path(g, path)
+        d = decompose(Vine(p, [Ear(ear)]))
+        assert d.a == (p.length,) and d.b == ()
+        assert d.a_vertices(1) == p.vertices
+        q0 = build_q0(g, d)
+        assert q0.vertices == p.vertices + ear[-2:0:-1]
+        assert q0.length == n
+
+
+def test_decompose_rejects_empty_vine(c5):
     p = validate_path(c5, range(5))
-    vine = Vine(p, [Ear((0, 4))])
-    with pytest.raises(PreconditionError, match="m=1"):
-        decompose(vine)
+    with pytest.raises(PreconditionError, match="at least one ear"):
+        decompose(Vine(p, []))
 
 
 def test_decompose_rejects_broken_chain(x2):
@@ -212,6 +224,12 @@ def test_inequality_1_k4_two_ear_vine(k4):
     assert d.a == (1, 1) and d.b == (1,)
     v = check_inequality_1(d, c=4)
     assert (v.lhs, v.rhs, v.ok) == (2, 2, True)
+
+
+def test_inequality_1_rejects_single_ear(c5):
+    d = decompose(Vine(validate_path(c5, range(5)), [Ear((0, 4))]))
+    with pytest.raises(PreconditionError, match="m=1"):
+        check_inequality_1(d, c=5)
 
 
 def test_inequality_1_negative_slack_is_internal_error(x2):
@@ -458,6 +476,16 @@ def test_verify_all_longest_paths(x2):
     checked, violations = verify_all_longest_paths(x2, l=6, c=5)
     assert checked >= 1
     assert violations == []
+
+
+@pytest.mark.parametrize("l, c, line", [
+    (6, 4, "longest path #{k}: c >= m+2 violated: c=4 m=3"),
+    (5, 5, "path #{k} has length 6, expected 5"),
+])
+def test_verify_all_longest_paths_violation_lines(x2, l, c, line):
+    checked, violations = verify_all_longest_paths(x2, l=l, c=c)
+    assert checked == 4
+    assert violations == [line.format(k=k) for k in range(4)]
 
 
 def test_verify_all_longest_paths_cap():

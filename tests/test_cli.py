@@ -540,6 +540,22 @@ def test_all_vines_violation_lines_keep_their_order(capsys, monkeypatch, forced_
     ]
 
 
+def test_analyze_status_reads_violation_whenever_it_exits_1(capsys, monkeypatch):
+    """An all-vines line alone makes analyze exit 1; its summary line must
+    then read VIOLATION, not the report's own TIGHT."""
+    from vinebound import bounds
+
+    real_fault = bounds._ear_fault
+    monkeypatch.setattr(bounds, "_ear_fault", lambda g, pos, ear: (
+        ("interior", "simulated fault") if pos[ear.x_attach] == 0 else real_fault(g, pos, ear)))
+    monkeypatch.chdir(GOLDEN)
+    assert main(["analyze", "x2.txt", "--all-vines", "200", "--exhaustive-paths"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "l=6 c=5 m=3 y=0 bound=5.000000 VIOLATION",
+        "violation: ear 0-3 fails the interior check: simulated fault",
+    ]
+
+
 # ------------------------------------------------------------------
 # oracle-check
 # ------------------------------------------------------------------
@@ -639,3 +655,30 @@ def test_campaign_flag_below_one_names_the_flag(argv, flag, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--nmin", "2", "--nmax", "2"],
+     "need 3 <= --nmin <= --nmax, got --nmin=2 --nmax=2"),
+    (["fuzz", "--nmin", "6", "--nmax", "5"],
+     "need 3 <= --nmin <= --nmax, got --nmin=6 --nmax=5"),
+    (["fuzz", "--nmin", "4", "--nmax", "8", "--extra-min", "5", "--extra-max", "3"],
+     "need 0 <= --extra-min <= --extra-max, got --extra-min=5 --extra-max=3"),
+    (["fuzz", "--nmin", "4", "--nmax", "8", "--extra-min", "-1"],
+     "need 0 <= --extra-min <= --extra-max, got --extra-min=-1 --extra-max=10"),
+    (["oracle-check", "--nmax", "17"], "--nmax must lie in [3, 16] for the oracle, got 17"),
+    (["oracle-check", "--nmax", "2"], "--nmax must lie in [3, 16] for the oracle, got 2"),
+], ids=["fuzz-nmin-low", "fuzz-nmin-above-nmax", "fuzz-extra-order", "fuzz-extra-negative",
+        "oracle-check-nmax-high", "oracle-check-nmax-low"])
+def test_campaign_range_error_names_the_flags(argv, message, capsys, monkeypatch):
+    """A campaign flag out of its range is an input error that names the
+    flags, raised before any instance runs."""
+
+    def unreachable(cfg):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "fuzz_campaign", unreachable)
+    assert main(argv[:1] + ["--count", "2", "--seed", "1"] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]

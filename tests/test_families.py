@@ -207,3 +207,7 @@ def test_fuzz_config_validation():
         FuzzConfig(count=1, n_min=5, n_max=3, seed=1)
     with pytest.raises(PreconditionError):
         FuzzConfig(count=1, n_min=3, n_max=5, seed=1, extra_min=4, extra_max=2)
+    with pytest.raises(PreconditionError):
+        FuzzConfig(count=1, n_min=3, n_max=5, seed=1, vine_cap=0)
+    with pytest.raises(PreconditionError):
+        FuzzConfig(count=1, n_min=3, n_max=5, seed=1, jobs=0)
