@@ -373,6 +373,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is not None and value < 1:
                 raise PreconditionError(f"{flag} must be at least 1, got {value}")
+        for flag in ("--node-budget", "--time-budget"):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and not value > 0:  # NaN is not positive either
+                raise PreconditionError(f"{flag} must be positive, got {value}")
         return handler(args)
     except (GraphParseError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

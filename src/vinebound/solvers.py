@@ -23,6 +23,13 @@ Two independent method families live here on purpose:
   parent's only way on, it takes the parent's reach less itself and runs
   no search of its own; that reach and its two-neighbour vertices are
   exactly what a fresh search would find.
+  The reach grows a run at a time: a run is a maximal connected set of
+  vertices with exactly two neighbours each, and one that holds no blocked
+  vertex joins whole, its neighbour counts added by one saturating add;
+  other vertices join one by one. Reach and two-neighbour mask are as
+  before: the reach is a component of G - blocked, which holds such a
+  connected run whole or not at all, and a count of neighbours in H does
+  not depend on the order its vertices joined in.
   longest_cycle keeps one table per root: for each key (end, reach) the
   most vertices a node reached it with, and prunes a node with no more. The
   node that set it is no ancestor (those end elsewhere), so it is finished.
@@ -101,19 +108,68 @@ class _Budget:
             raise _BudgetHit("time budget exhausted")
 
 
-def _reach(adj: tuple[int, ...], v: int, blocked: int, ones: int, twos: int) -> tuple[int, int]:
+def _runs(adj: tuple[int, ...]) -> tuple[int, list]:
+    """The runs of adj with at least two vertices: the mask of their
+    vertices, and per vertex of a run (its mask, the vertices with a
+    neighbour in it, those with two); None for other vertices.
+
+    A run is a maximal connected set of vertices with exactly two
+    neighbours each. A run of one vertex is left out: _reach's own step
+    adds it as cheaply.
+    """
+    deg2 = sum(1 << u for u, a in enumerate(adj) if a.bit_count() == 2)
+    table: list[tuple[int, int, int] | None] = [None] * len(adj)
+    chains = 0
+    rest = deg2
+    while rest:
+        run = nbrs = two = 0
+        members = []
+        frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            run |= low
+            u = low.bit_length() - 1
+            members.append(u)
+            a = adj[u]
+            two |= nbrs & a
+            nbrs |= a
+            frontier |= a & deg2 & ~run
+        rest &= ~run
+        if len(members) > 1:
+            chains |= run
+            for u in members:
+                table[u] = (run, nbrs, two)
+    return chains, table
+
+
+def _reach(adj: tuple[int, ...], runs: tuple[int, list], v: int, blocked: int,
+           ones: int, twos: int) -> tuple[int, int]:
     """Bitmask of the vertices reachable from v without entering blocked
     ones, and the mask of vertices with two neighbours in H.
 
     H is the reach plus the search vertices outside it that the caller
     seeded ones / twos with: the vertices with at least one / two
-    neighbours among those (v, and the root of a cycle search).
+    neighbours among those (v, and the root of a cycle search). runs is
+    _runs(adj): a run with no blocked vertex joins the reach whole, its
+    neighbour counts added at once; every other vertex joins alone.
     """
+    chains, table = runs
     reach = 0
     frontier = adj[v] & ~blocked
     while frontier:
         reach |= frontier
         nxt = 0
+        hit = frontier & chains
+        while hit:
+            run, nbrs, two = table[(hit & -hit).bit_length() - 1]
+            hit &= ~run
+            if not run & blocked:
+                frontier &= ~run
+                reach |= run
+                twos |= ones & nbrs | two
+                ones |= nbrs
+                nxt |= nbrs
         while frontier:
             low = frontier & -frontier
             frontier ^= low
@@ -138,6 +194,7 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
         raise PreconditionError("longest_path requires a connected graph")
     n = g.n
     adj = g.adjacency_bits
+    runs = _runs(adj)
     budget = _Budget(limits)
     best_len = 0
     best_seq = [0]
@@ -176,7 +233,7 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
                 visited ^= 1 << seq.pop()
                 continue
             if forced[-1] is None:
-                reach, twos = _reach(adj, v, visited, adj[v], 0)
+                reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
             else:
                 # v is its parent's only way on: v's reach is the parent's
                 # less v, and among those only v lost a neighbour
@@ -209,6 +266,7 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
     if failure is not None:
         raise PreconditionError(f"longest_cycle requires a 2-connected graph: {failure}")
     adj = g.adjacency_bits
+    runs = _runs(adj)
     budget = _Budget(limits)
     best_len = 0
     best_seq: list[int] | None = None
@@ -261,9 +319,9 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                     reach, twos = forced[-1]
                     reach ^= low
                 elif v == root:
-                    reach, twos = _reach(adj, v, visited, root_adj, 0)
+                    reach, twos = _reach(adj, runs, v, visited, root_adj, 0)
                 else:
-                    reach, twos = _reach(adj, v, visited, adj[v] | closers, adj[v] & closers)
+                    reach, twos = _reach(adj, runs, v, visited, adj[v] | closers, adj[v] & closers)
                 # the way back from v to the root ends in a closer and runs
                 # through vertices with two neighbours in reach + v + root; an
                 # earlier node at this key with as many vertices found it all
@@ -369,6 +427,7 @@ def all_longest_paths(g: Graph) -> list[Path]:
         raise PreconditionError("needs at least two vertices")
     target = longest_path_oracle(g)
     adj = g.adjacency_bits
+    runs = _runs(adj)
     found: list[Path] = []
     # Frames as in longest_path, without an incumbent: every sequence of
     # the target length is kept in the direction that ends above its start,
@@ -394,7 +453,7 @@ def all_longest_paths(g: Graph) -> list[Path]:
                 found.append(validate_path(g, seq))
             visited ^= 1 << seq.pop()
             continue
-        reach, twos = _reach(adj, v, visited, adj[v], 0)
+        reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
         inner = reach & twos
         if length + inner.bit_count() + (inner != reach) < target:
             visited ^= 1 << seq.pop()

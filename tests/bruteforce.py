@@ -8,7 +8,8 @@ builders and the dict-based vine check after them are the references for
 the ladder walk and for the once-per-ear vine check, the next function
 is the per-vine verification that built the single-ear cycle by hand, the
 next two are the per-subset oracles that the bit-parallel ones replaced,
-and the last is the cycle search as it was before its dominance table.
+and the last two are the reach step one vertex at a time and the cycle
+search as it was before its dominance table.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from vinebound.solvers import (
     SolveLimits,
     _Budget,
     _BudgetHit,
-    _reach,
 )
 from vinebound.vines import _chain_failure
 
@@ -414,6 +414,27 @@ def reference_longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERT
     return best
 
 
+def reference_reach(adj: tuple[int, ...], v: int, blocked: int, ones: int, twos: int) -> tuple[int, int]:
+    """The solvers' reach step one vertex at a time: the vertices reachable
+    from v without entering blocked ones, level by level, and the mask of
+    vertices with two neighbours in H (the reach plus the vertices the
+    caller seeded ones / twos with)."""
+    reach = 0
+    frontier = adj[v] & ~blocked
+    while frontier:
+        reach |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            a = adj[low.bit_length() - 1]
+            twos |= ones & a
+            ones |= a
+            nxt |= a
+        frontier = nxt & ~blocked & ~reach
+    return reach, twos
+
+
 def reference_longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
     """Longest simple cycle of a 2-connected graph.
 
@@ -476,9 +497,9 @@ def reference_longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> C
                     reach, twos = forced[-1]
                     reach ^= low
                 elif v == root:
-                    reach, twos = _reach(adj, v, visited, root_adj, 0)
+                    reach, twos = reference_reach(adj, v, visited, root_adj, 0)
                 else:
-                    reach, twos = _reach(adj, v, visited, adj[v] | closers, adj[v] & closers)
+                    reach, twos = reference_reach(adj, v, visited, adj[v] | closers, adj[v] & closers)
                 # the way back from v to the root ends in a closer and runs
                 # through vertices with two neighbours in reach + v + root
                 if not closers & reach or count + (reach & twos).bit_count() <= best_len:

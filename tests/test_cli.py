@@ -285,7 +285,21 @@ def test_analyze_nan_time_budget_exit_2(tmp_path, capsys, x2):
     code = main(["analyze", write_graph(tmp_path, x2), "--time-budget", "nan"])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert lines == ["error: all solve limits must be positive"]
+    assert lines == ["error: --time-budget must be positive, got nan"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "fuzz", "oracle-check"])
+@pytest.mark.parametrize("flag, value, shown", [("--node-budget", "0", "0"), ("--node-budget", "-5", "-5"),
+                                                ("--time-budget", "0", "0.0"), ("--time-budget", "-1.5", "-1.5")])
+def test_limit_flag_errors_name_the_flag(tmp_path, capsys, x2, command, flag, value, shown):
+    argv = {"analyze": ["analyze", write_graph(tmp_path, x2)],
+            "fuzz": ["fuzz", "--count", "2", "--nmin", "4", "--nmax", "6", "--seed", "1"],
+            "oracle-check": ["oracle-check", "--count", "2", "--nmax", "6", "--seed", "1"]}[command]
+    code = main([*argv, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} must be positive, got {shown}"]
 
 
 def test_analyze_all_vines_below_one_is_rejected_before_solving(tmp_path, capsys, x2, monkeypatch):

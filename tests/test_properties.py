@@ -31,6 +31,7 @@ from vinebound import (
     parse_graph,
     random_two_connected,
     serialize_graph,
+    solvers,
     validate_cycle,
     validate_path,
     verify_vine,
@@ -38,6 +39,7 @@ from vinebound import (
 )
 
 from vinebound.families import ExtremalSpec, extremal_graph
+from vinebound.solvers import _reach, _runs
 
 from bruteforce import (
     brute_two_connected,
@@ -47,6 +49,7 @@ from bruteforce import (
     reference_longest_cycle,
     reference_longest_cycle_oracle,
     reference_longest_path_oracle,
+    reference_reach,
     reference_validate_cycle,
     reference_validate_path,
     reference_verify_vine,
@@ -150,6 +153,65 @@ def test_longest_cycle_matches_reference_on_extremal_sweep():
         for slack in (0, 2, 4):
             g = extremal_graph(ExtremalSpec(m, slack))[0]
             assert longest_cycle(g).vertices == reference_longest_cycle(g).vertices
+
+
+@st.composite
+def reach_calls(draw):
+    """A graph with long runs of degree-2 vertices and one reach call on it.
+    The graph is a 2-connected graph with every edge subdivided, a plain
+    cycle (one run, which holds v) or a 2-connected graph with pendant
+    paths (connected, not 2-connected); the call draws v, a blocked mask
+    that may hold v, and ones / twos seeds."""
+    kind = draw(st.sampled_from(("subdivided", "cycle", "pendant")))
+    if kind == "cycle":
+        n = draw(st.integers(3, 40))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    else:
+        base, _ = random_two_connected(draw(st.integers(3, 8)), draw(st.integers(0, 6)),
+                                       draw(st.integers(0, 2**32)))
+        n, edges = base.n, sorted(base.edges)
+        if kind == "subdivided":
+            chains = []
+            for u, w in edges:
+                chain = [u, *range(n, n := n + draw(st.integers(0, 5))), w]
+                chains += zip(chain, chain[1:])
+            edges = chains
+        else:
+            for _ in range(draw(st.integers(1, 3))):
+                chain = [draw(st.integers(0, n - 1)), *range(n, n := n + draw(st.integers(1, 6)))]
+                edges += zip(chain, chain[1:])
+    labels = draw(st.permutations(range(n)))
+    g = Graph(n, [(labels[u], labels[w]) for u, w in edges])
+    v = draw(st.integers(0, n - 1))
+    blocked = sum({1 << u for u in draw(st.lists(st.integers(0, n - 1), max_size=n // 2))})
+    if draw(st.booleans()):
+        blocked |= 1 << v
+    ones = draw(st.integers(0, (1 << n) - 1))
+    return g, v, blocked, ones, ones & draw(st.integers(0, (1 << n) - 1))
+
+
+@given(reach_calls())
+@settings(max_examples=300, deadline=None)
+def test_reach_by_runs_matches_plain_bfs(params):
+    g, v, blocked, ones, twos = params
+    adj = g.adjacency_bits
+    assert _reach(adj, _runs(adj), v, blocked, ones, twos) == reference_reach(adj, v, blocked, ones, twos)
+
+
+def test_reach_by_runs_matches_plain_bfs_in_both_searches(monkeypatch):
+    # every call the two solvers make on the m = 20 grid graph
+    calls = []
+
+    def recorded(adj, runs, v, blocked, ones, twos):
+        got = _reach(adj, runs, v, blocked, ones, twos)
+        calls.append(got == reference_reach(adj, v, blocked, ones, twos))
+        return got
+
+    monkeypatch.setattr(solvers, "_reach", recorded)
+    g = extremal_graph(ExtremalSpec(20, 2))[0]
+    longest_path(g)
+    longest_cycle(g)
+    assert len(calls) > 100 and all(calls)
 
 
 @st.composite

@@ -255,6 +255,16 @@ def test_extremal_cycle_certified_within_smaller_node_budget():
     assert cyc.vertices == longest_cycle(g).vertices
 
 
+@pytest.mark.parametrize("solve, nodes", [(longest_cycle, 2384), (longest_path, 305)])
+def test_extremal_node_counts_are_pinned(solve, nodes):
+    # the exact search size on the m = 20 grid graph (n = 143): a prune
+    # that moves changes it, a faster reach step does not
+    g = extremal_graph(ExtremalSpec(20, 2))[0]
+    assert solve(g, SolveLimits(node_budget=nodes)).vertices == solve(g).vertices
+    with pytest.raises(SolveBudgetError):
+        solve(g, SolveLimits(node_budget=nodes - 1))
+
+
 def _extremal_grid(slacks=(0, 2)):
     return [extremal_graph(ExtremalSpec(m, slack))[0] for m in range(2, 21) for slack in slacks]
 
