@@ -76,6 +76,7 @@ from .families import (
     FuzzConfig,
     FuzzReport,
     InstanceRecord,
+    check_graph,
     extremal_cycle_length,
     extremal_graph,
     extremal_path_length,

@@ -97,10 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--nmin", type=int, required=True)
     p_fuzz.add_argument("--nmax", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, required=True)
-    p_fuzz.add_argument("--jobs", type=int, default=1)
-    p_fuzz.add_argument("--extra-min", type=int, default=0, help="minimum extra chords")
-    p_fuzz.add_argument("--extra-max", type=int, default=10, help="maximum extra chords")
-    p_fuzz.add_argument("--vine-cap", type=int, default=200, help="vines checked per instance")
+    p_fuzz.add_argument("--jobs", type=int, default=FuzzConfig.jobs)
+    p_fuzz.add_argument("--extra-min", type=int, default=FuzzConfig.extra_min,
+                        help="minimum extra chords")
+    p_fuzz.add_argument("--extra-max", type=int, default=FuzzConfig.extra_max,
+                        help="maximum extra chords")
+    p_fuzz.add_argument("--vine-cap", type=int, default=FuzzConfig.vine_cap,
+                        help="vines checked per instance")
     p_fuzz.add_argument("--json", metavar="FILE", default=None)
     _add_limit_flags(p_fuzz)
 

@@ -160,14 +160,13 @@ _NO_RESULT = {"l": 0, "c": 0, "m": 0, "slack": 0, "parity": "odd", "bound": 0.0,
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """Outcome of one fuzz instance; graph_text is set only on violation.
-
-    report is None when verification raised; resource_limited says whether
-    it ran out of a budget. oracle_l / oracle_c are the oracles' lengths,
-    None when the instance was not cross-checked. The names in _NO_RESULT
-    read through to the report, or give the placeholder there when it is
-    None.
-    """
+    """Outcome of one fuzz instance: the generated graph's index, seed, n and
+    extra chords, then the fields check_graph returns. report is None when
+    verification raised; resource_limited says whether it ran out of a
+    budget. oracle_l / oracle_c are the oracles' lengths, None when the
+    instance was not cross-checked; graph_text is set only on violation.
+    The names in _NO_RESULT read through to the report, or give the
+    placeholder there when it is None."""
 
     index: int
     seed: int
@@ -223,49 +222,44 @@ class FuzzReport:
         return self.failed == 0
 
 
-def _run_fuzz_instance(
-    instance: tuple[int, int, int, int], vine_cap: int, limits: SolveLimits
-) -> InstanceRecord:
-    index, n, extra, seed = instance
-    g, placed = random_two_connected(n, extra, seed)
+def check_graph(g: Graph, vine_cap: int, limits: SolveLimits) -> dict:
+    """Check the bound on g: l and c, every vine up to vine_cap, and the
+    oracles' l and c up to ORACLE_MAX_VERTICES vertices. Return the
+    InstanceRecord fields the check decides, by name; graph_text is None
+    unless there is a violation."""
     try:
         report, checked, truncated, more = analyze_all_vines(g, limits, vine_cap)
+        fields = {"report": report, "vines_checked": checked, "vines_truncated": truncated}
         violations = [*report.violations, *more]
-        oracle_l = oracle_c = None
         if g.n <= ORACLE_MAX_VERTICES:
-            oracle_l = longest_path_oracle(g)
-            oracle_c = longest_cycle_oracle(g)
-            if oracle_l != report.l:
-                violations.append(f"oracle disagrees on l: search {report.l}, oracle {oracle_l}")
-            if oracle_c != report.c:
-                violations.append(f"oracle disagrees on c: search {report.c}, oracle {oracle_c}")
+            fields.update(oracle_l=longest_path_oracle(g), oracle_c=longest_cycle_oracle(g))
+            for name in ("l", "c"):
+                search, oracle = getattr(report, name), fields[f"oracle_{name}"]
+                if oracle != search:
+                    violations.append(f"oracle disagrees on {name}: search {search}, oracle {oracle}")
     except VineboundError as exc:
         # the record carries a flag, not the exception: some of them do not pickle
-        return InstanceRecord(
-            index, seed, n, extra, placed,
-            (f"exception during verification: {type(exc).__name__}: {exc}",),
-            graph_text=serialize_graph(g),
-            resource_limited=isinstance(exc, ResourceLimitError),
-        )
-    return InstanceRecord(
-        index, seed, n, extra, placed, tuple(violations),
-        graph_text=serialize_graph(g) if violations else None,
-        report=report, oracle_l=oracle_l, oracle_c=oracle_c, vines_checked=checked,
-        vines_truncated=truncated,
-    )
+        fields = {"resource_limited": isinstance(exc, ResourceLimitError)}
+        violations = [f"exception during verification: {type(exc).__name__}: {exc}"]
+    return {**fields, "violations": tuple(violations),
+            "graph_text": serialize_graph(g) if violations else None}
 
 
-def seeded_instances(
-    seed: int, count: int, n_min: int, n_max: int, extra_min: int = 0, extra_max: int | None = None
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (index, n, extra, seed) for count instances drawn from one
-    master generator, in that order: n from [n_min, n_max], extra from
-    [extra_min, extra_max] (up to n when extra_max is None), then the
-    instance seed."""
-    master = random.Random(seed)
-    for index in range(count):
-        n = master.randint(n_min, n_max)
-        extra = master.randint(extra_min, n if extra_max is None else extra_max)
+def _run_fuzz_instance(instance: tuple[int, int, int, int], cfg: FuzzConfig) -> InstanceRecord:
+    index, n, extra, seed = instance
+    g, placed = random_two_connected(n, extra, seed)
+    return InstanceRecord(index, seed, n, extra, placed, **check_graph(g, cfg.vine_cap, cfg.limits))
+
+
+def seeded_instances(cfg: FuzzConfig) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (index, n, extra, seed) for cfg.count instances drawn from one
+    master generator seeded with cfg.seed, in that order: n from
+    [n_min, n_max], extra from [extra_min, extra_max] (up to n when
+    extra_max is None), then the instance seed."""
+    master = random.Random(cfg.seed)
+    for index in range(cfg.count):
+        n = master.randint(cfg.n_min, cfg.n_max)
+        extra = master.randint(cfg.extra_min, n if cfg.extra_max is None else cfg.extra_max)
         yield index, n, extra, master.getrandbits(63)
 
 
@@ -276,8 +270,8 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     instance together with a replayable graph file. Records are ordered by
     instance index regardless of the number of worker processes.
     """
-    run = partial(_run_fuzz_instance, vine_cap=cfg.vine_cap, limits=cfg.limits)
-    instances = seeded_instances(cfg.seed, cfg.count, cfg.n_min, cfg.n_max, cfg.extra_min, cfg.extra_max)
+    run = partial(_run_fuzz_instance, cfg=cfg)
+    instances = seeded_instances(cfg)
     start = time.monotonic()
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -457,6 +457,21 @@ def test_fuzz_budget_human_output(capsys):
     assert captured.err == "resource limit: 4 of 8 instances ran out of a budget\n"
 
 
+def test_fuzz_vine_state_cap_is_a_budget(capsys, monkeypatch):
+    """Instances whose vine search outgrows the state cap read BUDGET, and
+    the campaign exits 3, never 1."""
+    from vinebound import vines
+
+    monkeypatch.setattr(vines, "DEFAULT_STATE_CAP", 4)
+    code = main(["fuzz", "--count", "4", "--nmin", "6", "--nmax", "9", "--seed", "1",
+                 "--extra-min", "6"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.count(" BUDGET\n") == 4 and "VIOLATION" not in out
+    assert out.count("exception during verification: VineSearchCapError: ") == 4
+    assert "summary: 0/4 passed, 0 violations, 4 out of budget, " in out
+
+
 def _count_calls(monkeypatch, *targets):
     """Wrap each (module, name) function at every vinebound module attribute
     that refers to it; return the per-name call counts."""

@@ -5,7 +5,9 @@ from vinebound import (
     FuzzConfig,
     Graph,
     PreconditionError,
+    SolveLimits,
     analyze,
+    check_graph,
     extremal_cycle_length,
     extremal_graph,
     extremal_path_length,
@@ -18,6 +20,7 @@ from vinebound import (
     serialize_graph,
     verify_vine,
 )
+from vinebound.solvers import ORACLE_MAX_VERTICES
 
 from conftest import triangle_graph, x1_graph, x2_graph
 
@@ -151,6 +154,41 @@ def test_random_generator_preconditions():
         random_two_connected(2, 0, seed=1)
     with pytest.raises(PreconditionError):
         random_two_connected(5, -1, seed=1)
+
+
+# ------------------------------------------------------------------
+# the per-graph check
+# ------------------------------------------------------------------
+
+X19 = ExtremalSpec(5, 2)  # 19 vertices, above the oracle cap
+
+
+@pytest.mark.parametrize("g, limits", [
+    (extremal_graph(X19)[0], SolveLimits()),
+    (random_two_connected(12, 6, seed=3)[0], SolveLimits()),
+    (random_two_connected(12, 6, seed=3)[0], SolveLimits(node_budget=20)),
+], ids=["extremal-n19", "random-n12", "random-n12-budget"])
+def test_check_graph(g, limits):
+    """The record fields of one check: the oracles' lengths only up to their
+    cap, and the graph text only beside a violation."""
+    fields = check_graph(g, 200, limits)
+    if limits.node_budget == 20:
+        assert "report" not in fields and fields["resource_limited"]
+        [line] = fields["violations"]
+        assert line.startswith("exception during verification: SolveBudgetError: ")
+        assert fields["graph_text"] == serialize_graph(g)
+        return
+    report = fields["report"]
+    assert fields["violations"] == () and fields["graph_text"] is None
+    assert fields["vines_checked"] >= 1 and not fields.get("resource_limited")
+    if g.n > ORACLE_MAX_VERTICES:
+        assert "oracle_l" not in fields and "oracle_c" not in fields
+        assert report.tight
+        assert (report.l, report.c, report.m) == (
+            extremal_path_length(X19), extremal_cycle_length(X19), X19.m
+        )
+    else:
+        assert (fields["oracle_l"], fields["oracle_c"]) == (report.l, report.c)
 
 
 # ------------------------------------------------------------------

@@ -252,6 +252,17 @@ def test_state_cap(monkeypatch):
         enumerate_vines(g, p, max_count=100_000)
 
 
+def test_state_cap_past_the_first_level(monkeypatch):
+    """A first BFS level that fits the cap exactly, with extensions that do
+    not, trips the check inside the level loop."""
+    g = complete_graph(9)
+    p = longest_path(g)
+    first_level = sum(1 for ear in enumerate_ears(g, p) if ear.x_attach == p.vertices[0])
+    monkeypatch.setattr(vines, "DEFAULT_STATE_CAP", first_level)
+    with pytest.raises(VineSearchCapError):
+        enumerate_vines(g, p, max_count=100_000)
+
+
 # ------------------------------------------------------------------
 # existence and the q0 consequence
 # ------------------------------------------------------------------
