@@ -40,6 +40,11 @@ and summing them yields the sharp bound on the circumference:
 which implies the classical Dirac bounds c > sqrt(2l) and c >= 2*sqrt(l).
 All verdicts are computed in exact integer arithmetic; the real-valued
 bound is only ever used for display.
+
+A ladder's walk depends only on the base path and its ear slice. So the
+all-vines pass certifies each distinct ladder once, and on every vine it
+checks the formula length against that certified cycle. Only the report's
+vine gets a VineVerification; the others give their violation lines.
 """
 
 from __future__ import annotations
@@ -85,7 +90,12 @@ def decompose(vine: Vine) -> SegmentDecomposition:
     """Cut the base path into the A/B segments induced by the vine. The
     interleaving chain, checked first, makes them tile the path with the
     lengths the module docstring gives."""
-    if vine.m < 1:
+    return SegmentDecomposition(vine, *_segments(vine))
+
+
+def _segments(vine: Vine) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The A and B segment lengths of decompose."""
+    if not vine.ears:
         raise PreconditionError("segment decomposition needs a vine with at least one ear")
     pos = vine.base.positions
     try:
@@ -99,7 +109,7 @@ def decompose(vine: Vine) -> SegmentDecomposition:
     # A_i = y_{i-1}..x_{i+1} with y_0 = x_1 and x_{m+1} = y_m; B_i = x_{i+1}..y_i
     a = tuple(x - y for y, x in zip([xs[0], *ys], [*xs[1:], ys[-1]]))
     b = tuple(y - x for x, y in zip(xs[1:], ys))
-    return SegmentDecomposition(vine, a, b)
+    return a, b
 
 
 def _ladder(vine: Vine, s: int, t: int) -> list[int]:
@@ -125,47 +135,72 @@ def _certify(g: Graph, vertices, expected_len: int, label: str) -> Cycle:
         cycle = validate_cycle(g, vertices)
     except CycleValidationError as exc:
         raise InternalInvariantError(f"{label} is not a simple cycle: {exc}") from exc
+    _require_formula_length(cycle, expected_len, label)
+    return cycle
+
+
+def _require_formula_length(cycle: Cycle, expected_len: int, label: str) -> None:
     if cycle.length != expected_len:
         raise InternalInvariantError(
             f"{label} length {cycle.length} does not match the formula value {expected_len}"
         )
+
+
+def _ladder_cycle(g: Graph, vine: Vine, a, b, s: int, t: int, label: str, ladders: dict) -> Cycle:
+    """The ladder over the 0-based ears s..t, certified at its length by the
+    module docstring's identity (where the ears are 1-based). ladders maps an
+    ear slice to its certified ladder: a slice found there is not walked
+    again, but its length is still checked against this vine's formula."""
+    ears = vine.ears[s : t + 1]
+    expected = sum(ear.length for ear in ears) + sum(a[s : t + 1])
+    expected += (b[s - 1] if s else 0) + (b[t] if t < len(b) else 0)
+    cycle = ladders.get(ears)
+    if cycle is None:
+        ladders[ears] = cycle = _certify(g, _ladder(vine, s, t), expected, label)
+    else:
+        _require_formula_length(cycle, expected, label)
     return cycle
 
 
-def _ladder_cycle(g: Graph, d: SegmentDecomposition, s: int, t: int, label: str) -> Cycle:
-    """The ladder over the 0-based ears s..t, certified at its length by the
-    module docstring's identity (where the ears are 1-based)."""
-    b = (0, *d.b, 0)
-    expected = sum(d.vine.ears[i].length + d.a[i] for i in range(s, t + 1)) + b[s] + b[t + 1]
-    return _certify(g, _ladder(d.vine, s, t), expected, label)
+def _ladder_spans(m: int) -> list[tuple[str, int, int]]:
+    """Label and 0-based ear span of each ladder a vine with m ears certifies:
+    q0, then q_1..q_{(m-1)//2}, then qstar for even m."""
+    spans = [("q0 cycle" if m > 1 else "base-plus-ear cycle", 0, m - 1)]
+    spans += [(f"q{j} cycle", j, m - j - 1) for j in range(1, (m - 1) // 2 + 1)]
+    if m % 2 == 0:
+        spans.append(("qstar cycle", m // 2 - 1, m // 2 - 1))
+    return spans
 
 
-def _q0_label(m: int) -> str:
-    return "q0 cycle" if m > 1 else "base-plus-ear cycle"
+def _build(g: Graph, d: SegmentDecomposition, k: int) -> Cycle:
+    """The k-th ladder of _ladder_spans, certified on its own."""
+    label, s, t = _ladder_spans(d.m)[k]
+    return _ladder_cycle(g, d.vine, d.a, d.b, s, t, label, {})
+
+
+def _require_j(m: int, j: int) -> None:
+    if not 1 <= j <= (m - 1) // 2:
+        raise PreconditionError(f"j must lie in [1, {(m - 1) // 2}] for m={m}, got {j}")
 
 
 def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
     """Cycle through every ear and every A segment; length sum(ears) + sum(a).
     For a single ear that is the base path plus the ear."""
-    return _ladder_cycle(g, d, 0, d.m - 1, _q0_label(d.m))
+    return _build(g, d, 0)
 
 
 def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
     """Cycle through ears j+1..m-j with their A segments plus B_j and B_{m-j}."""
-    m = d.m
-    if not 1 <= j <= (m - 1) // 2:
-        raise PreconditionError(f"j must lie in [1, {(m - 1) // 2}] for m={m}, got {j}")
-    return _ladder_cycle(g, d, j, m - j - 1, f"q{j} cycle")
+    _require_j(d.m, j)
+    return _build(g, d, j)
 
 
 def build_qstar(g: Graph, d: SegmentDecomposition) -> Cycle:
     """Even-m cycle B_{m/2} + B_{m/2-1} + A_{m/2} + ear m/2, reading B_0 as
     the empty segment so that m = 2 reduces to A_1 + B_1 + ear 1."""
-    m = d.m
-    if m % 2 != 0:
-        raise PreconditionError(f"qstar needs an even ear count, got m={m}")
-    h = m // 2
-    return _ladder_cycle(g, d, h - 1, h - 1, "qstar cycle")
+    if d.m % 2 != 0:
+        raise PreconditionError(f"qstar needs an even ear count, got m={d.m}")
+    return _build(g, d, -1)
 
 
 @dataclass(frozen=True)
@@ -190,35 +225,42 @@ class Inequality2Verdict:
     weak_ok: bool
 
 
-def check_inequality_1(d: SegmentDecomposition, c: int) -> Inequality1Verdict:
-    """End-segment inequality against the certified circumference c; needs m >= 2."""
-    if d.m < 2:
-        raise PreconditionError(f"inequality (1) needs at least two ears, got m={d.m}")
-    slack = c - d.m - 2
-    if slack < 0:
-        raise InternalInvariantError(
-            f"negative slack {slack}: circumference {c} below m+2={d.m + 2}"
-        )
-    lhs = d.a[0] + d.a[-1]
-    rhs = slack + 2 - sum(d.a[1:-1])
-    return Inequality1Verdict(lhs, rhs, lhs <= rhs)
+def _inequality_1(a: tuple[int, ...], slack: int) -> tuple[int, int, bool]:
+    """The fields of Inequality1Verdict."""
+    lhs = a[0] + a[-1]
+    rhs = slack + 2 - sum(a[1:-1])
+    return lhs, rhs, lhs <= rhs
 
 
-def check_inequality_2(d: SegmentDecomposition, c: int, j: int) -> Inequality2Verdict:
-    """Overlap-segment inequality for one j against the circumference c."""
-    m = d.m
-    if not 1 <= j <= (m - 1) // 2:
-        raise PreconditionError(f"j must lie in [1, {(m - 1) // 2}] for m={m}, got {j}")
+def _inequality_2(a: tuple[int, ...], b: tuple[int, ...], slack: int, j: int) -> tuple:
+    """The fields of Inequality2Verdict."""
+    m = len(a)
+    lhs = b[j - 1] + b[m - j - 1]
+    weak_rhs = slack + 2 * (j + 1)
+    rhs = weak_rhs - sum(a[j : m - j])
+    return j, lhs, rhs, weak_rhs, lhs <= rhs, lhs <= weak_rhs
+
+
+def _slack(c: int, m: int) -> int:
     slack = c - m - 2
     if slack < 0:
         raise InternalInvariantError(
             f"negative slack {slack}: circumference {c} below m+2={m + 2}"
         )
-    lhs = d.b[j - 1] + d.b[m - j - 1]
-    middle = sum(d.a[j : m - j])
-    weak_rhs = slack + 2 * (j + 1)
-    rhs = weak_rhs - middle
-    return Inequality2Verdict(j, lhs, rhs, weak_rhs, lhs <= rhs, lhs <= weak_rhs)
+    return slack
+
+
+def check_inequality_1(d: SegmentDecomposition, c: int) -> Inequality1Verdict:
+    """End-segment inequality against the certified circumference c; needs m >= 2."""
+    if d.m < 2:
+        raise PreconditionError(f"inequality (1) needs at least two ears, got m={d.m}")
+    return Inequality1Verdict(*_inequality_1(d.a, _slack(c, d.m)))
+
+
+def check_inequality_2(d: SegmentDecomposition, c: int, j: int) -> Inequality2Verdict:
+    """Overlap-segment inequality for one j against the circumference c."""
+    _require_j(d.m, j)
+    return Inequality2Verdict(*_inequality_2(d.a, d.b, _slack(c, d.m), j))
 
 
 def circumference_bound_squared(l: int, slack: int, m: int) -> int:
@@ -276,56 +318,64 @@ class VineVerification:
         return not self.violations
 
 
-def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVerification:
-    """Run every theorem check one vine supports: slack sign, the exact
-    bound, the segment inequalities, and the three cycle constructions."""
-    violations: list[str] = []
-    m = vine.m
+def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
+    """Every check of verify_vine_against as plain values: the slack, the
+    squared bound, the fields of the inequality verdicts, the ladder lengths
+    by label and the violations. When c < m + 2 only that check runs, and
+    the squared bound is None. ladders is the table _ladder_cycle fills."""
+    m = len(vine.ears)
     slack = c - m - 2
     if slack < 0:
         # c >= m + 2 fails: everything downstream is meaningless
-        return VineVerification(
-            m, slack, float("nan"), False, False, None, (), 0, (), None,
-            (f"c >= m+2 violated: c={c} m={m}",),
-        )
+        return slack, None, None, [], {}, [f"c >= m+2 violated: c={c} m={m}"]
+    violations: list[str] = []
     bound_sq = circumference_bound_squared(l, slack, m)
-    bound = math.sqrt(bound_sq)
-    bound_met = c * c >= bound_sq
-    tight = c * c == bound_sq
-    if not bound_met:
+    if c * c < bound_sq:
         violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
-    d = decompose(vine)
-    ineq1, ineq2 = None, ()
+    a, b = _segments(vine)
+    ineq1, ineq2 = None, []
     if m >= 2:
-        ineq1 = check_inequality_1(d, c)
-        if not ineq1.ok:
-            violations.append(f"inequality (1) violated: {ineq1.lhs} > {ineq1.rhs}")
-        ineq2 = tuple(check_inequality_2(d, c, j) for j in range(1, (m - 1) // 2 + 1))
-        for verdict in ineq2:
-            if not verdict.ok:
-                violations.append(
-                    f"inequality (2) violated at j={verdict.j}: {verdict.lhs} > {verdict.rhs}"
-                )
-    lengths = {_q0_label(m): build_q0(g, d).length}
-    lengths.update((f"q{v.j} cycle", build_qj(g, d, v.j).length) for v in ineq2)
-    if m % 2 == 0:
-        lengths["qstar cycle"] = build_qstar(g, d).length
-    for label, length in lengths.items():
-        if length > c:
-            violations.append(f"{label} longer than the circumference: {length} > {c}")
+        ineq1 = _inequality_1(a, slack)
+        if not ineq1[2]:
+            violations.append(f"inequality (1) violated: {ineq1[0]} > {ineq1[1]}")
+        ineq2 = [_inequality_2(a, b, slack, j) for j in range(1, (m - 1) // 2 + 1)]
+        violations += [
+            f"inequality (2) violated at j={j}: {lhs} > {rhs}"
+            for j, lhs, rhs, _, ok, _ in ineq2 if not ok
+        ]
+    lengths = {
+        label: _ladder_cycle(g, vine, a, b, s, t, label, ladders).length
+        for label, s, t in _ladder_spans(m)
+    }
+    violations += [
+        f"{label} longer than the circumference: {length} > {c}"
+        for label, length in lengths.items() if length > c
+    ]
     if m == 1 and c < l + 1:
         violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
     if m % 2 == 0:
         h = m // 2
-        overlap_sum = d.b[h - 1] + (d.b[h - 2] if h >= 2 else 0)
+        overlap_sum = b[h - 1] + (b[h - 2] if h >= 2 else 0)
         if overlap_sum > slack + m + 1:
             violations.append(
                 f"qstar consequence violated: b_{h}+b_{h - 1}={overlap_sum} > slack+m+1={slack + m + 1}"
             )
+    return slack, bound_sq, ineq1, ineq2, lengths, violations
+
+
+def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVerification:
+    """Run every theorem check one vine supports: slack sign, the exact
+    bound, the segment inequalities, and the three cycle constructions."""
+    slack, bound_sq, ineq1, ineq2, lengths, violations = _vine_checks(g, l, c, vine, {})
+    if bound_sq is None:
+        return VineVerification(
+            vine.m, slack, float("nan"), False, False, None, (), 0, (), None, tuple(violations)
+        )
     lens = list(lengths.values())
     return VineVerification(
-        m, slack, bound, bound_met, tight, ineq1, ineq2, lens[0], tuple(lens[1 : 1 + len(ineq2)]),
-        lengths.get("qstar cycle"), tuple(violations),
+        vine.m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq,
+        Inequality1Verdict(*ineq1) if ineq1 else None, tuple(Inequality2Verdict(*v) for v in ineq2),
+        lens[0], tuple(lens[1 : 1 + len(ineq2)]), lengths.get("qstar cycle"), tuple(violations),
     )
 
 
@@ -369,8 +419,7 @@ def analyze_all_vines(
         vines, truncated, more = (find_min_vine(g, path),), False, []
         verdict = verify_vine_against(g, path, l, c, vines[0])
     else:
-        vines, truncated, verdicts, more = _vine_pass(g, path, l, c, max_vines)
-        verdict = verdicts[0]
+        vines, truncated, verdict, more = _vine_pass(g, path, l, c, max_vines)
     if verdict.slack < 0:
         raise InternalInvariantError(
             f"minimum vine has negative slack: c={c} m={verdict.m}; contradicts c >= m+2"
@@ -391,21 +440,25 @@ def analyze_all_vines(
 
 def _vine_pass(
     g: Graph, p: Path, l: int, c: int, max_vines: int
-) -> tuple[tuple[Vine, ...], bool, list[VineVerification], list[str]]:
-    """verify_all_vines with every vine's verdict. enumerate_vines has certified
-    p; a vine's q0 or base-plus-ear cycle certifies its ear edges and that the
-    ears' interiors are disjoint, so each distinct ear is checked once."""
+) -> tuple[tuple[Vine, ...], bool, VineVerification, list[str]]:
+    """verify_all_vines with the verdict of vine #0, the report's vine; the
+    others share one ladder table and give only their violation lines.
+    enumerate_vines has certified p; a vine's q0 or base-plus-ear cycle
+    certifies its ear edges and that the ears' interiors are disjoint, so
+    each distinct ear is checked once."""
     vines, truncated = enumerate_vines(g, p, max_count=max_vines)
-    verdicts = [verify_vine_against(g, p, l, c, vine) for vine in vines]
+    verdict = verify_vine_against(g, p, l, c, vines[0])
+    ladders: dict = {}
+    lines = [verdict.violations] + [_vine_checks(g, l, c, vine, ladders)[-1] for vine in vines[1:]]
     violations: list[str] = []
     for ear in {ear.vertices: ear for vine in vines for ear in vine.ears}.values():
         fault = _ear_fault(g, p.positions, ear)
         if type(fault) is tuple:
             name = "-".join(map(str, ear.vertices))
             violations.append(f"ear {name} fails the {fault[0]} check: {fault[1]}")
-    for idx, (vine, verdict) in enumerate(zip(vines, verdicts)):
-        violations.extend(f"vine #{idx} (m={vine.m}): {v}" for v in verdict.violations)
-    return vines, truncated, verdicts, violations
+    for idx, (vine, vine_lines) in enumerate(zip(vines, lines)):
+        violations.extend(f"vine #{idx} (m={vine.m}): {v}" for v in vine_lines)
+    return vines, truncated, verdict, violations
 
 
 def verify_all_vines(

@@ -472,6 +472,53 @@ def test_verify_all_vines_reports_each_faulty_ear_once(tmp_path, x2, monkeypatch
     assert main(["analyze", str(source), "--all-vines", "200"]) == 1
 
 
+def test_a_ladder_table_hit_still_checks_the_formula_length():
+    """A vine whose ladder is already in the pass's table is not walked
+    again, but a table length that disagrees with its formula still raises,
+    naming the ladder."""
+    from vinebound import Cycle, bounds, enumerate_vines
+
+    g = complete_graph(5)
+    p = longest_path(g)
+    l, c = p.length, longest_cycle(g).length
+    ladders = {}
+    for vine in enumerate_vines(g, p, 200).vines:
+        spans = bounds._ladder_spans(vine.m)
+        hits = [label for label, s, t in spans if vine.ears[s : t + 1] in ladders]
+        if hits:
+            break
+        bounds._vine_checks(g, l, c, vine, ladders)
+    else:
+        pytest.fail("no two vines of K5 share a ladder")
+    assert bounds._vine_checks(g, l, c, vine, dict(ladders))[-1] == []
+    longer = {key: Cycle(range(cycle.length + 1)) for key, cycle in ladders.items()}
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^{hits[0]} length \d+ does not match the formula value \d+$"):
+        bounds._vine_checks(g, l, c, vine, longer)
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+def test_a_ladder_missing_a_vertex_fails_its_vine(monkeypatch, broken):
+    """Vine #0 is checked on a fresh table and the others on the pass's
+    shared one; on either, a ladder walk that drops a vertex fails that
+    vine at its q0 (for a single ear, the base-plus-ear cycle)."""
+    from vinebound import bounds, enumerate_vines
+
+    g = complete_graph(5)
+    p = longest_path(g)
+    l, c = p.length, longest_cycle(g).length
+    vines = enumerate_vines(g, p, 200).vines
+    real = bounds._ladder
+
+    def dropped(vine, s, t):
+        walk = real(vine, s, t)
+        return walk[:-1] if vine == vines[broken] else walk
+
+    monkeypatch.setattr(bounds, "_ladder", dropped)
+    with pytest.raises(InternalInvariantError, match=r"^(q0|base-plus-ear) cycle "):
+        verify_all_vines(g, p, l, c, 200)
+
+
 def test_verify_all_longest_paths(x2):
     checked, violations = verify_all_longest_paths(x2, l=6, c=5)
     assert checked >= 1

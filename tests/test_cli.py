@@ -497,23 +497,25 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_each_checked_graph_runs_one_vine_pass(capsys, monkeypatch):
     """One ear enumeration per fuzz instance and per analyze --all-vines run,
-    and one verify_vine_against call per enumerated vine."""
+    one check of every enumerated vine, and one full verdict per graph."""
     from vinebound import bounds, vines
 
-    calls = _count_calls(monkeypatch, (vines, "enumerate_ears"), (bounds, "verify_vine_against"))
+    calls = _count_calls(monkeypatch, (vines, "enumerate_ears"), (bounds, "_vine_checks"),
+                         (bounds, "verify_vine_against"))
     assert main(["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7",
                  "--json", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert calls == {
         "enumerate_ears": 20,
-        "verify_vine_against": sum(r["vines_checked"] for r in doc["instances"]),
+        "_vine_checks": sum(r["vines_checked"] for r in doc["instances"]),
+        "verify_vine_against": 20,
     }
     monkeypatch.chdir(GOLDEN)
     for name in calls:
         calls[name] = 0
     assert main(["analyze", "x2.txt", "--all-vines", "200", "--verbose"]) == 0
     assert "all-vines: checked 1" in capsys.readouterr().out
-    assert calls == {"enumerate_ears": 1, "verify_vine_against": 1}
+    assert calls == {"enumerate_ears": 1, "_vine_checks": 1, "verify_vine_against": 1}
 
 
 @pytest.fixture

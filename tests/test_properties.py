@@ -34,6 +34,7 @@ from vinebound import (
     solvers,
     validate_cycle,
     validate_path,
+    verify_all_vines,
     verify_vine,
     verify_vine_against,
 )
@@ -381,6 +382,25 @@ def test_bound_invariants_on_random_instances(params):
     # corollary chain: main bound -> sharp Dirac form -> Dirac bound
     assert not r.bound_met or r.dirac.conjecture_a
     assert not r.dirac.conjecture_a or r.dirac.theorem_a
+
+
+@given(st.tuples(st.integers(3, 12), st.integers(0, 12), st.integers(0, 2**32)))
+@settings(max_examples=60, deadline=None)
+def test_all_vines_lines_match_a_fresh_verdict_per_vine(params):
+    """The all-vines pass shares one ladder table over its vines; its lines
+    must be those of a fresh verify_vine_against on each enumerated vine,
+    under the true (l, c) and under falsified pairs."""
+    g, _ = random_two_connected(*params)
+    p = longest_path(g)
+    l, c = p.length, longest_cycle(g).length
+    vines, truncated = enumerate_vines(g, p, max_count=200)
+    for claim in [(l, c), (3 * l, c), (l, c - 2), (l + 5, c + 1)]:
+        expected = [
+            f"vine #{idx} (m={vine.m}): {line}"
+            for idx, vine in enumerate(vines)
+            for line in verify_vine_against(g, p, *claim, vine).violations
+        ]
+        assert verify_all_vines(g, p, *claim, 200) == (len(vines), truncated, expected), claim
 
 
 @given(two_connected_params)
