@@ -470,17 +470,17 @@ def verify_all_vines(
     return len(vines), truncated, violations
 
 
-def verify_all_longest_paths(g: Graph, l: int, c: int) -> tuple[int, list[str]]:
-    """Re-run the minimum-vine checks on every longest path (small graphs
-    only); returns (paths checked, violations)."""
+def verify_all_longest_paths(
+    g: Graph, p: Path, l: int, c: int, limits: SolveLimits = DEFAULT_LIMITS
+) -> tuple[int, list[str]]:
+    """Check the minimum vine on every path of length l but p, the report's,
+    against l and c; returns (paths listed, violations)."""
     violations: list[str] = []
-    paths = all_longest_paths(g)
-    for idx, p in enumerate(paths):
-        if p.length != l:
-            violations.append(f"path #{idx} has length {p.length}, expected {l}")
-            continue
-        vine = find_min_vine(g, p)
-        verdict = verify_vine_against(g, p, l, c, vine)
-        for v in verdict.violations:
-            violations.append(f"longest path #{idx}: {v}")
-    return len(paths), violations
+    idx = -1
+    for idx, q in enumerate(all_longest_paths(g, l, limits)):
+        if q != p:
+            lines = _vine_checks(g, l, c, find_min_vine(g, q), {})[-1]
+            violations += [f"longest path #{idx}: {v}" for v in lines]
+    if idx < 0:
+        raise InternalInvariantError(f"no path has length l={l}")
+    return idx + 1, violations

@@ -43,7 +43,7 @@ from .families import (
     fuzz_campaign,
 )
 from .graphs import parse_graph, serialize_graph
-from .solvers import EXHAUSTIVE_MAX_VERTICES, ORACLE_MAX_VERTICES, SolveLimits
+from .solvers import ORACLE_MAX_VERTICES, SolveLimits
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--all-vines", type=int, metavar="CAP", default=None,
                            help="additionally check every vine on the longest path, up to CAP")
     p_analyze.add_argument("--exhaustive-paths", action="store_true",
-                           help="re-check every longest path (graphs with at most "
-                                f"{EXHAUSTIVE_MAX_VERTICES} vertices)")
+                           help="also check the minimum vine on every other longest path")
     _add_limit_flags(p_analyze)
 
     p_extremal = sub.add_parser("extremal", help="emit a tight family instance")
@@ -212,8 +211,7 @@ def cmd_analyze(args) -> int:
     else:
         report, vines_checked, truncated, extra_violations = analyze_all_vines(g, limits, args.all_vines)
     if args.exhaustive_paths:
-        _, more = verify_all_longest_paths(g, report.l, report.c)
-        extra_violations.extend(more)
+        extra_violations += verify_all_longest_paths(g, report.path, report.l, report.c, limits)[1]
     violated = bool(report.violations or extra_violations)
     command = {
         "name": "analyze",

@@ -38,6 +38,9 @@ Two independent method families live here on purpose:
   could. No ancestor of the pinned witness is cut: the rest of the witness
   would close that smaller prefix as long, earlier. The table is not shared
   across roots: there the closers can differ at an equal key.
+* ``all_longest_paths`` is search code too, told l and never calling an
+  oracle: it yields every path of length l in the witness order within
+  the budget, and certifies that none is longer.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are the Bellman /
   Held-Karp dynamic program over (vertex subset, endpoint) states, run
   bit-parallel: per endpoint w, one integer of 2^n bits has bit S set when
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InternalInvariantError, PreconditionError, SolveBudgetError
 from .graphs import (
@@ -79,8 +83,6 @@ DEFAULT_LIMITS = SolveLimits()
 # The subset-DP oracles' own cap: each walks a 2^n table. fuzz and
 # oracle-check cross-check every instance up to it.
 ORACLE_MAX_VERTICES = 16
-
-EXHAUSTIVE_MAX_VERTICES = 10  # all_longest_paths lists every longest path
 
 # longest_cycle clears a full dominance table, which only loses prunes
 DOMINANCE_CAP = 1 << 16
@@ -418,45 +420,45 @@ def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> i
     return best
 
 
-def all_longest_paths(g: Graph) -> list[Path]:
-    """Every longest path, orientation-normalized, in lexicographic order.
-    Exhaustive, so capped at EXHAUSTIVE_MAX_VERTICES."""
-    if g.n > EXHAUSTIVE_MAX_VERTICES:
-        raise PreconditionError(f"exhaustive path listing capped at {EXHAUSTIVE_MAX_VERTICES} vertices")
-    if g.n < 2:
-        raise PreconditionError("needs at least two vertices")
-    target = longest_path_oracle(g)
+def all_longest_paths(g: Graph, l: int, limits: SolveLimits = DEFAULT_LIMITS) -> Iterator[Path]:
+    """Yield every path of length l, orientation-normalized, in lexicographic
+    order. A prefix of a longer path is never pruned, so its first l edges
+    are visited with a way on: that raises, so l is certified maximal."""
     adj = g.adjacency_bits
     runs = _runs(adj)
-    found: list[Path] = []
-    # Frames as in longest_path, without an incumbent: every sequence of
-    # the target length is kept in the direction that ends above its start,
-    # and the depth-first order is already lexicographic.
+    budget = _Budget(limits)
+    # Frames as in longest_path, without an incumbent; a sequence of length
+    # l is kept in the direction that ends above its start.
     seq: list[int] = []
     todo = [(1 << g.n) - 1]
     visited = 0
-    while todo:
-        cand = todo[-1]
-        if not cand:
-            todo.pop()
-            if seq:
+    try:
+        while todo:
+            cand = todo[-1]
+            if not cand:
+                todo.pop()
+                if seq:
+                    visited ^= 1 << seq.pop()
+                continue
+            low = cand & -cand
+            todo[-1] = cand ^ low
+            budget.spend()
+            v = low.bit_length() - 1
+            visited |= low
+            seq.append(v)
+            length = len(seq) - 1
+            if length == l:
+                if adj[v] & ~visited:
+                    raise InternalInvariantError(f"all_longest_paths: path {seq} extends past l={l}")
+                if v > seq[0]:
+                    yield validate_path(g, seq)
                 visited ^= 1 << seq.pop()
-            continue
-        low = cand & -cand
-        todo[-1] = cand ^ low
-        v = low.bit_length() - 1
-        visited |= low
-        seq.append(v)
-        length = len(seq) - 1
-        if length == target:
-            if v > seq[0]:
-                found.append(validate_path(g, seq))
-            visited ^= 1 << seq.pop()
-            continue
-        reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
-        inner = reach & twos
-        if length + inner.bit_count() + (inner != reach) < target:
-            visited ^= 1 << seq.pop()
-            continue
-        todo.append(adj[v] & ~visited)
-    return found
+                continue
+            reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
+            inner = reach & twos
+            if length + inner.bit_count() + (inner != reach) < l:
+                visited ^= 1 << seq.pop()
+                continue
+            todo.append(adj[v] & ~visited)
+    except _BudgetHit as hit:
+        raise SolveBudgetError(f"all_longest_paths: {hit}") from None

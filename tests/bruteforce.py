@@ -108,6 +108,12 @@ def brute_longest_path_witness(g: Graph) -> tuple[int, ...]:
     return min(candidates)
 
 
+def brute_all_longest_paths(g: Graph) -> list[tuple[int, ...]]:
+    """Every optimal path in the direction that compares smaller, sorted."""
+    best = max(len(seq) for seq in iter_simple_paths(g))
+    return sorted({min(seq, seq[::-1]) for seq in iter_simple_paths(g) if len(seq) == best})
+
+
 def iter_simple_cycles(g: Graph):
     """Every cycle once, as the canonical (min-rooted, lex-min direction)
     vertex tuple."""

@@ -520,24 +520,31 @@ def test_a_ladder_missing_a_vertex_fails_its_vine(monkeypatch, broken):
 
 
 def test_verify_all_longest_paths(x2):
-    checked, violations = verify_all_longest_paths(x2, l=6, c=5)
+    checked, violations = verify_all_longest_paths(x2, longest_path(x2), l=6, c=5)
     assert checked >= 1
     assert violations == []
 
 
 @pytest.mark.parametrize("l, c, line", [
     (6, 4, "longest path #{k}: c >= m+2 violated: c=4 m=3"),
-    (5, 5, "path #{k} has length 6, expected 5"),
 ])
 def test_verify_all_longest_paths_violation_lines(x2, l, c, line):
-    checked, violations = verify_all_longest_paths(x2, l=l, c=c)
+    # path #0 is the report's path, whose vine the report has checked
+    checked, violations = verify_all_longest_paths(x2, longest_path(x2), l=l, c=c)
     assert checked == 4
-    assert violations == [line.format(k=k) for k in range(4)]
+    assert violations == [line.format(k=k) for k in range(1, 4)]
+
+
+@pytest.mark.parametrize("l, message", [(5, "extends past l=5"), (7, "no path has length l=7")])
+def test_verify_all_longest_paths_at_a_wrong_l_raises(x2, l, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        verify_all_longest_paths(x2, longest_path(x2), l=l, c=5)
 
 
 def test_verify_all_longest_paths_cap():
-    with pytest.raises(PreconditionError):
-        verify_all_longest_paths(cycle_graph(12), l=11, c=12)
+    g = cycle_graph(11)
+    with pytest.raises(SolveBudgetError, match="^all_longest_paths: node budget exhausted$"):
+        verify_all_longest_paths(g, longest_path(g), 10, 11, SolveLimits(node_budget=100))
 
 
 def test_bound_holds_for_every_vine_on_fixtures(x1, x2, k4, theta):

@@ -178,11 +178,14 @@ def test_analyze_all_vines_and_exhaustive(tmp_path, capsys, x2):
     assert "all-vines: checked" in capsys.readouterr().out
 
 
-def test_analyze_exhaustive_paths_above_the_cap_is_an_input_error(tmp_path, capsys):
-    code = main(["analyze", write_graph(tmp_path, cycle_graph(11)), "--exhaustive-paths"])
+def test_analyze_exhaustive_paths_out_of_node_budget_exits_3(tmp_path, capsys):
+    # 100 nodes cover the 11-cycle's path and cycle searches (22 and 12
+    # nodes) but not its listing of every longest path (231 nodes)
+    code = main(["analyze", write_graph(tmp_path, cycle_graph(11)), "--exhaustive-paths",
+                 "--node-budget", "100"])
     err = capsys.readouterr().err.splitlines()
-    assert code == 2
-    assert err == ["error: exhaustive path listing capped at 10 vertices"]
+    assert code == 3
+    assert err == ["resource limit: all_longest_paths: node budget exhausted"]
 
 
 def test_analyze_reads_the_ear_cap_at_call_time(tmp_path, capsys, x2, monkeypatch):
@@ -516,6 +519,19 @@ def test_each_checked_graph_runs_one_vine_pass(capsys, monkeypatch):
     assert main(["analyze", "x2.txt", "--all-vines", "200", "--verbose"]) == 0
     assert "all-vines: checked 1" in capsys.readouterr().out
     assert calls == {"enumerate_ears": 1, "_vine_checks": 1, "verify_vine_against": 1}
+
+
+def test_exhaustive_paths_reuses_the_report(capsys, monkeypatch):
+    """The listing is told the report's l and skips the report's path: one
+    minimum vine per longest path, one full verdict, and no oracle call."""
+    from vinebound import bounds, solvers, vines
+
+    calls = _count_calls(monkeypatch, (vines, "find_min_vine"), (bounds, "verify_vine_against"),
+                         (solvers, "longest_path_oracle"))
+    monkeypatch.chdir(GOLDEN)
+    assert main(["analyze", "x2.txt", "--exhaustive-paths"]) == 0
+    assert capsys.readouterr().out == "l=6 c=5 m=3 y=0 bound=5.000000 TIGHT\n"
+    assert calls == {"find_min_vine": 4, "verify_vine_against": 1, "longest_path_oracle": 0}
 
 
 @pytest.fixture

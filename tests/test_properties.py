@@ -10,8 +10,10 @@ from vinebound import (
     CycleValidationError,
     Ear,
     Graph,
+    InternalInvariantError,
     PathValidationError,
     Vine,
+    all_longest_paths,
     analyze,
     build_q0,
     build_qj,
@@ -43,6 +45,7 @@ from vinebound.families import ExtremalSpec, extremal_graph
 from vinebound.solvers import _reach, _runs
 
 from bruteforce import (
+    brute_all_longest_paths,
     brute_two_connected,
     reference_build_q0,
     reference_build_qj,
@@ -147,6 +150,23 @@ def test_longest_cycle_matches_reference_below_n(g):
     cyc = longest_cycle(g)
     assert cyc.length < g.n
     assert cyc.vertices == reference_longest_cycle(g).vertices
+
+
+@given(st.one_of(
+    st.tuples(st.integers(3, 10), st.integers(0, 8), st.integers(0, 2**32)).map(
+        lambda params: random_two_connected(*params)[0]),
+    non_hamiltonian_blocks().filter(lambda g: g.n <= 10),
+))
+@settings(max_examples=80, deadline=None)
+def test_all_longest_paths_lists_every_longest_path(g):
+    """Told the solved l, the listing is the brute-force list and starts with
+    longest_path's witness, the path the exhaustive check skips; told l - 1,
+    it raises on a path that goes on."""
+    p = longest_path(g)
+    assert [q.vertices for q in all_longest_paths(g, p.length)] == brute_all_longest_paths(g)
+    assert next(all_longest_paths(g, p.length)) == p
+    with pytest.raises(InternalInvariantError, match=f"extends past l={p.length - 1}$"):
+        list(all_longest_paths(g, p.length - 1))
 
 
 def test_longest_cycle_matches_reference_on_extremal_sweep():

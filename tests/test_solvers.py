@@ -22,11 +22,11 @@ from vinebound import (
 )
 
 from bruteforce import (
+    brute_all_longest_paths,
     brute_longest_cycle_length,
     brute_longest_cycle_witness,
     brute_longest_path_length,
     brute_longest_path_witness,
-    iter_simple_paths,
 )
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -189,11 +189,6 @@ def subdivided_thetas(max_n):
         yield from chains(k, 1, max_n - 2)
 
 
-def brute_all_longest_paths(g):
-    best = max(len(seq) for seq in iter_simple_paths(g))
-    return sorted({min(seq, seq[::-1]) for seq in iter_simple_paths(g) if len(seq) == best})
-
-
 def test_witnesses_pinned_on_extremal_family():
     checked = 0
     for m in range(2, 6):
@@ -201,10 +196,11 @@ def test_witnesses_pinned_on_extremal_family():
             g = extremal_graph(ExtremalSpec(m, slack))[0]
             if g.n > 11:
                 continue
-            assert longest_path(g).vertices == brute_longest_path_witness(g)
+            p = longest_path(g)
+            assert p.vertices == brute_longest_path_witness(g)
             assert longest_cycle(g).vertices == brute_longest_cycle_witness(g)
             if g.n <= 10:
-                assert [p.vertices for p in all_longest_paths(g)] == brute_all_longest_paths(g)
+                assert [q.vertices for q in all_longest_paths(g, p.length)] == brute_all_longest_paths(g)
             checked += 1
     assert checked == 6
 
@@ -221,10 +217,11 @@ def test_witnesses_pinned_on_subdivided_thetas():
         rng.shuffle(labels)
         for g in (plain, theta_chains(lengths, labels)):
             assert is_two_connected(g)
-            assert longest_path(g).vertices == brute_longest_path_witness(g)
+            p = longest_path(g)
+            assert p.vertices == brute_longest_path_witness(g)
             assert longest_cycle(g).vertices == brute_longest_cycle_witness(g)
             if g.n <= 10:
-                assert [p.vertices for p in all_longest_paths(g)] == brute_all_longest_paths(g)
+                assert [q.vertices for q in all_longest_paths(g, p.length)] == brute_all_longest_paths(g)
         checked += 1
     assert checked >= 50, checked
 
@@ -347,16 +344,17 @@ def test_determinism_repeated_solves(x2):
 
 
 def test_all_longest_paths_counts(c5, x2):
-    paths = all_longest_paths(c5)
+    paths = list(all_longest_paths(c5, 4))
     assert len(paths) == 5  # one per removed edge of the 5-cycle
     assert all(p.length == 4 for p in paths)
-    spine_list = all_longest_paths(x2)
+    spine_list = list(all_longest_paths(x2, 6))
     assert any(p.vertices == (0, 1, 2, 3, 4, 5, 6) for p in spine_list)
 
 
 def test_all_longest_paths_cap():
-    with pytest.raises(PreconditionError):
-        all_longest_paths(cycle_graph(11))
+    # the 11-cycle's listing takes 231 nodes: 21 from each start
+    with pytest.raises(SolveBudgetError, match=r"^all_longest_paths: node budget exhausted$"):
+        list(all_longest_paths(cycle_graph(11), 10, SolveLimits(node_budget=100)))
 
 
 def test_limits_validation():
