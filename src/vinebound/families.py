@@ -273,8 +273,10 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     run = partial(_run_fuzz_instance, cfg=cfg)
     instances = seeded_instances(cfg)
     start = time.monotonic()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool starts all its workers at once, so no more than there are instances
+    workers = min(cfg.jobs, cfg.count)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(run, instances, chunksize=8))
     else:
         records = tuple(map(run, instances))

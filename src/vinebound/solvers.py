@@ -10,6 +10,14 @@ Two independent method families live here on purpose:
   of the lexicographically first optimal sequence, because the best length
   stays below the optimum until that sequence is reached. Its reverse has
   the same length and so cannot come earlier: it is orientation-normalized.
+  ``all_longest_paths`` runs the same path search told l; the two modes
+  differ only at a node longer than the incumbent. Told l, the incumbent
+  is fixed at l - 1, so the prune cuts a node only when no extension
+  reaches l: no prefix of a path of length l or more. So it visits every
+  sequence of length l, in lexicographic order, and keeps each in the
+  direction that ends above its start; a longer path's first l edges are
+  a node with a way on, which raises, so l is certified maximal. It calls
+  no oracle.
   For a cycle, that sequence starts at the smallest vertex and leaves it
   for the smaller of its two neighbours on the cycle, so the search starts
   each cycle at its smallest vertex and closes it only through a root
@@ -38,9 +46,6 @@ Two independent method families live here on purpose:
   could. No ancestor of the pinned witness is cut: the rest of the witness
   would close that smaller prefix as long, earlier. The table is not shared
   across roots: there the closers can differ at an equal key.
-* ``all_longest_paths`` is search code too, told l and never calling an
-  oracle: it yields every path of length l in the witness order within
-  the budget, and certifies that none is longer.
 * ``longest_path_oracle`` / ``longest_cycle_oracle`` are the Bellman /
   Held-Karp dynamic program over (vertex subset, endpoint) states, run
   bit-parallel: per endpoint w, one integer of 2^n bits has bit S set when
@@ -183,6 +188,74 @@ def _reach(adj: tuple[int, ...], runs: tuple[int, list], v: int, blocked: int,
     return reach, twos
 
 
+def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
+    """The path search. Told no l, yield each strict improvement: the last
+    sequence yielded is the pinned witness. Told l, yield every sequence of
+    length l that ends above its start, and raise if one has a way on."""
+    n = g.n
+    adj = g.adjacency_bits
+    runs = _runs(adj)
+    budget = _Budget(limits)
+    # the incumbent: a node with no more than best_len edges in reach is cut
+    best_len = 0 if l is None else l - 1
+    # One frame per vertex of seq, plus a bottom frame whose candidates are
+    # the start vertices: todo holds the bitmask of neighbours still to try,
+    # taken lowest first, and forced the (reach, twos) of the frame's vertex
+    # when it has exactly one candidate, else None. visited is the bits of
+    # seq, so every pop from seq clears its bit.
+    seq: list[int] = []
+    todo = [(1 << n) - 1]
+    visited = 0
+    forced: list[tuple[int, int] | None] = [None]
+    while todo:
+        cand = todo[-1]
+        if not cand:
+            todo.pop()
+            forced.pop()
+            if seq:
+                visited ^= 1 << seq.pop()
+            continue
+        low = cand & -cand
+        todo[-1] = cand ^ low
+        budget.spend()
+        v = low.bit_length() - 1
+        visited |= low
+        seq.append(v)
+        length = len(seq) - 1
+        if length > best_len:
+            if l is not None:
+                if adj[v] & ~visited:
+                    raise InternalInvariantError(f"all_longest_paths: path {seq} extends past l={l}")
+                if v > seq[0]:
+                    yield seq.copy()
+                visited ^= 1 << seq.pop()
+                continue
+            # strict, so the first optimal sequence found, the pinned
+            # witness, is the last one yielded
+            best_len = length
+            yield seq.copy()
+        if best_len == n - 1:
+            # nothing is longer, so the bound below would prune too
+            visited ^= 1 << seq.pop()
+            continue
+        if forced[-1] is None:
+            reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
+        else:
+            # v is its parent's only way on: v's reach is the parent's
+            # less v, and among those only v lost a neighbour
+            reach, twos = forced[-1]
+            reach ^= low
+        inner = reach & twos
+        # a path from v runs through vertices with two neighbours in
+        # reach + v and ends in at most one vertex with fewer
+        if length + inner.bit_count() + (inner != reach) <= best_len:
+            visited ^= 1 << seq.pop()
+            continue
+        cand = adj[v] & ~visited
+        todo.append(cand)
+        forced.append(None if cand & (cand - 1) else (reach, twos))
+
+
 def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
     """Longest simple path of a connected graph with n >= 2.
 
@@ -194,65 +267,13 @@ def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
         raise PreconditionError(f"longest_path needs at least two vertices, got n={g.n}")
     if not is_connected(g):
         raise PreconditionError("longest_path requires a connected graph")
-    n = g.n
-    adj = g.adjacency_bits
-    runs = _runs(adj)
-    budget = _Budget(limits)
-    best_len = 0
     best_seq = [0]
-    # One frame per vertex of seq, plus a bottom frame whose candidates are
-    # the start vertices: todo holds the bitmask of neighbours still to try,
-    # taken lowest first, and forced the (reach, twos) of the frame's vertex
-    # when it has exactly one candidate, else None. visited is the bits of
-    # seq, so every pop from seq clears its bit.
-    seq: list[int] = []
-    todo = [(1 << n) - 1]
-    visited = 0
-    forced: list[tuple[int, int] | None] = [None]
     try:
-        while todo:
-            cand = todo[-1]
-            if not cand:
-                todo.pop()
-                forced.pop()
-                if seq:
-                    visited ^= 1 << seq.pop()
-                continue
-            low = cand & -cand
-            todo[-1] = cand ^ low
-            budget.spend()
-            v = low.bit_length() - 1
-            visited |= low
-            seq.append(v)
-            length = len(seq) - 1
-            # strict, so the first optimal sequence found, the pinned
-            # witness, is the one kept
-            if length > best_len:
-                best_len = length
-                best_seq = seq.copy()
-            if best_len == n - 1:
-                # nothing is longer, so the bound below would prune too
-                visited ^= 1 << seq.pop()
-                continue
-            if forced[-1] is None:
-                reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
-            else:
-                # v is its parent's only way on: v's reach is the parent's
-                # less v, and among those only v lost a neighbour
-                reach, twos = forced[-1]
-                reach ^= low
-            inner = reach & twos
-            # a path from v runs through vertices with two neighbours in
-            # reach + v and ends in at most one vertex with fewer
-            if length + inner.bit_count() + (inner != reach) <= best_len:
-                visited ^= 1 << seq.pop()
-                continue
-            cand = adj[v] & ~visited
-            todo.append(cand)
-            forced.append(None if cand & (cand - 1) else (reach, twos))
+        for best_seq in _paths(g, limits, None):
+            pass
     except _BudgetHit as hit:
         raise SolveBudgetError(
-            f"longest_path: {hit}; best non-optimal path has length {best_len}",
+            f"longest_path: {hit}; best non-optimal path has length {len(best_seq) - 1}",
             incumbent=validate_path(g, best_seq),
         ) from None
     return validate_path(g, best_seq)
@@ -422,43 +443,9 @@ def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> i
 
 def all_longest_paths(g: Graph, l: int, limits: SolveLimits = DEFAULT_LIMITS) -> Iterator[Path]:
     """Yield every path of length l, orientation-normalized, in lexicographic
-    order. A prefix of a longer path is never pruned, so its first l edges
-    are visited with a way on: that raises, so l is certified maximal."""
-    adj = g.adjacency_bits
-    runs = _runs(adj)
-    budget = _Budget(limits)
-    # Frames as in longest_path, without an incumbent; a sequence of length
-    # l is kept in the direction that ends above its start.
-    seq: list[int] = []
-    todo = [(1 << g.n) - 1]
-    visited = 0
+    order, and raise if a path is longer, so l is certified maximal."""
     try:
-        while todo:
-            cand = todo[-1]
-            if not cand:
-                todo.pop()
-                if seq:
-                    visited ^= 1 << seq.pop()
-                continue
-            low = cand & -cand
-            todo[-1] = cand ^ low
-            budget.spend()
-            v = low.bit_length() - 1
-            visited |= low
-            seq.append(v)
-            length = len(seq) - 1
-            if length == l:
-                if adj[v] & ~visited:
-                    raise InternalInvariantError(f"all_longest_paths: path {seq} extends past l={l}")
-                if v > seq[0]:
-                    yield validate_path(g, seq)
-                visited ^= 1 << seq.pop()
-                continue
-            reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
-            inner = reach & twos
-            if length + inner.bit_count() + (inner != reach) < l:
-                visited ^= 1 << seq.pop()
-                continue
-            todo.append(adj[v] & ~visited)
+        for seq in _paths(g, limits, l):
+            yield validate_path(g, seq)
     except _BudgetHit as hit:
         raise SolveBudgetError(f"all_longest_paths: {hit}") from None

@@ -282,6 +282,7 @@ def enumerate_vines(g: Graph, p: Path, max_count: int) -> VineEnumeration:
     order, with a flag saying whether the enumeration was cut short."""
     if max_count < 1:
         raise PreconditionError("max_count must be positive")
-    # one vine past the cap, to tell a full enumeration from a cut one
-    vines = tuple(islice(_iter_vines(g, p), max_count + 1))
+    # one vine past the cap, to tell a full enumeration from a cut one; no
+    # search yields more than DEFAULT_STATE_CAP; islice rejects a stop of 2^63 up
+    vines = tuple(islice(_iter_vines(g, p), min(max_count, DEFAULT_STATE_CAP) + 1))
     return VineEnumeration(vines[:max_count], len(vines) > max_count)

@@ -218,6 +218,17 @@ def test_analyze_all_vines_says_when_it_stopped_at_the_cap(tmp_path, capsys):
     assert capped == full
 
 
+def test_analyze_all_vines_cap_past_islice_stop(capsys):
+    # 2^63 - 1 and above overflowed islice's stop: an unreached cap reads
+    # as any other
+    source = str(GOLDEN / "x2.txt")
+    assert main(["analyze", source, "--all-vines", "99999999999999999999", "--json", "-"]) == 0
+    huge = json.loads(capsys.readouterr().out)
+    assert main(["analyze", source, "--all-vines", "200", "--json", "-"]) == 0
+    capped = json.loads(capsys.readouterr().out)
+    assert (huge["results"], huge["witnesses"]) == (capped["results"], capped["witnesses"])
+
+
 def test_analyze_violation_exit_1(tmp_path, capsys, x2, monkeypatch):
     import dataclasses
 
@@ -416,6 +427,12 @@ def test_fuzz_jobs_flag_same_report(capsys):
     main(base + ["--jobs", "2"])
     par = capsys.readouterr().out
     assert seq == par
+
+
+def test_fuzz_vine_cap_past_islice_stop(capsys):
+    args = ["fuzz", "--count", "3", "--nmin", "4", "--nmax", "8", "--seed", "2"]
+    assert main(args + ["--vine-cap", str(2**63)]) == 0
+    assert "summary: 3/3 passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("second, expected", [

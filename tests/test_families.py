@@ -226,6 +226,31 @@ def test_fuzz_parallel_matches_sequential():
     assert strip(seq) == strip(par)
 
 
+def test_fuzz_pool_starts_no_more_workers_than_instances(monkeypatch):
+    from vinebound import families
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
+    cfg = FuzzConfig(count=3, n_min=4, n_max=6, seed=13, jobs=64)
+    rep = fuzz_campaign(cfg)
+    assert started == [3]
+    assert [r.index for r in rep.records] == [0, 1, 2]
+
+
 def test_fuzz_pure_cycles_tight_for_single_ear():
     # on pure cycles the single-ear bound is attained exactly: c = n
     report = fuzz_campaign(FuzzConfig(count=10, n_min=3, n_max=12, seed=3, extra_min=0, extra_max=0))

@@ -262,6 +262,15 @@ def test_extremal_node_counts_are_pinned(solve, nodes):
         solve(g, SolveLimits(node_budget=nodes - 1))
 
 
+def test_extremal_listing_node_count_is_pinned():
+    # the listing of the m = 20 grid graph's four Hamiltonian paths takes
+    # exactly 5,839 nodes: a prune that moves changes it
+    g = extremal_graph(ExtremalSpec(20, 2))[0]
+    assert len(list(all_longest_paths(g, 142, SolveLimits(node_budget=5839)))) == 4
+    with pytest.raises(SolveBudgetError, match=r"^all_longest_paths: node budget exhausted$"):
+        list(all_longest_paths(g, 142, SolveLimits(node_budget=5838)))
+
+
 def _extremal_grid(slacks=(0, 2)):
     return [extremal_graph(ExtremalSpec(m, slack))[0] for m in range(2, 21) for slack in slacks]
 

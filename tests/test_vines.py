@@ -244,6 +244,13 @@ def test_enumerate_vines_truncation(k4):
     assert enum.truncated and len(enum.vines) == 1
 
 
+def test_vine_cap_past_the_state_cap_reads_as_the_state_cap(x2):
+    # islice takes no stop past 2^63 - 1; no search yields more vines than
+    # it has states
+    p = longest_path(x2)
+    assert enumerate_vines(x2, p, 2**70) == enumerate_vines(x2, p, vines.DEFAULT_STATE_CAP)
+
+
 def test_state_cap(monkeypatch):
     monkeypatch.setattr(vines, "DEFAULT_STATE_CAP", 5)
     g = complete_graph(9)
