@@ -333,7 +333,7 @@ def _run_campaign(cfg: FuzzConfig, target: str | None, command: dict, to_json, l
         width = len(str(count))
         for r in report.records:
             status = "ok" if r.ok else "BUDGET" if r.resource_limited else failure
-            reached = {name: "-" if r.report is None else getattr(r, name) for name in _REACHED}
+            reached = {name: getattr(r, name) if r.vines_checked else "-" for name in _REACHED}
             print(line.format(r=r, i=r.index + 1, count=count, width=width, **reached), status)
             for violation in r.violations:
                 print(f"    {violation}")

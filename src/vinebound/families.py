@@ -1,4 +1,4 @@
-"""Tight instance families and seeded random 2-connected graphs.
+"""Tight families, random 2-connected graphs, the per-graph check and its campaigns.
 
 The extremal construction realizes the circumference bound with equality:
 a Hamiltonian spine whose chord attachments induce the segment lengths
@@ -21,7 +21,7 @@ from functools import partial
 from itertools import accumulate
 from typing import Iterator
 
-from .bounds import BoundReport, analyze_all_vines
+from .bounds import analyze_all_vines
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, VineboundError
 from .graphs import Graph, Path, is_two_connected, serialize_graph, validate_path
 from .solvers import ORACLE_MAX_VERTICES, SolveLimits, longest_cycle_oracle, longest_path_oracle
@@ -154,19 +154,15 @@ class FuzzConfig:
             raise PreconditionError(f"jobs must be at least 1, got {self.jobs}")
 
 
-# What a record reads for the report's summary fields when verification raised.
-_NO_RESULT = {"l": 0, "c": 0, "m": 0, "slack": 0, "parity": "odd", "bound": 0.0, "tight": False}
-
-
 @dataclass(frozen=True)
 class InstanceRecord:
     """Outcome of one fuzz instance: the generated graph's index, seed, n and
-    extra chords, then the fields check_graph returns. report is None when
-    verification raised; resource_limited says whether it ran out of a
-    budget. oracle_l / oracle_c are the oracles' lengths, None when the
-    instance was not cross-checked; graph_text is set only on violation.
-    The names in _NO_RESULT read through to the report, or give the
-    placeholder there when it is None."""
+    extra chords, then the fields check_graph returns. vines_checked is 0
+    exactly when verification raised, since a finished check has at least
+    one vine; l through tight then keep their placeholders and
+    resource_limited says whether a budget ran out. oracle_l / oracle_c are
+    the oracles' lengths, None when the instance was not cross-checked;
+    graph_text is set only on violation."""
 
     index: int
     seed: int
@@ -175,19 +171,18 @@ class InstanceRecord:
     extra_placed: int
     violations: tuple[str, ...]
     graph_text: str | None
-    report: BoundReport | None = None
+    l: int = 0
+    c: int = 0
+    m: int = 0
+    slack: int = 0
+    parity: str = "odd"
+    bound: float = 0.0
+    tight: bool = False
     oracle_l: int | None = None
     oracle_c: int | None = None
     vines_checked: int = 0
     vines_truncated: bool = False
     resource_limited: bool = False
-
-    def __getattr__(self, name):
-        # only the table's names: anything else, such as the attributes
-        # pickle probes before the fields are set, must not recurse
-        if name not in _NO_RESULT:
-            raise AttributeError(name)
-        return _NO_RESULT[name] if self.report is None else getattr(self.report, name)
 
     @property
     def ok(self) -> bool:
@@ -229,12 +224,13 @@ def check_graph(g: Graph, vine_cap: int, limits: SolveLimits) -> dict:
     unless there is a violation."""
     try:
         report, checked, truncated, more = analyze_all_vines(g, limits, vine_cap)
-        fields = {"report": report, "vines_checked": checked, "vines_truncated": truncated}
+        fields = {k: getattr(report, k) for k in ("l", "c", "m", "slack", "parity", "bound", "tight")}
+        fields.update(vines_checked=checked, vines_truncated=truncated)
         violations = [*report.violations, *more]
         if g.n <= ORACLE_MAX_VERTICES:
             fields.update(oracle_l=longest_path_oracle(g), oracle_c=longest_cycle_oracle(g))
             for name in ("l", "c"):
-                search, oracle = getattr(report, name), fields[f"oracle_{name}"]
+                search, oracle = fields[name], fields[f"oracle_{name}"]
                 if oracle != search:
                     violations.append(f"oracle disagrees on {name}: search {search}, oracle {oracle}")
     except VineboundError as exc:
@@ -277,7 +273,8 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     workers = min(cfg.jobs, cfg.count)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(run, instances, chunksize=8))
+            # Pool.map's default chunk rule: about four chunks per worker
+            records = tuple(pool.map(run, instances, chunksize=-(-cfg.count // (4 * workers))))
     else:
         records = tuple(map(run, instances))
     return FuzzReport(records, time.monotonic() - start)

@@ -9,7 +9,9 @@ A Graph certifies its 2-connectivity once. ``Graph.two_connectivity_failure``
 caches what the function of that name returns, and ``is_two_connected``,
 ``require_two_connected`` and ``solvers.longest_cycle`` read it; the cut
 vertices are cached too, so ``NotTwoConnectedError`` names one without a
-second sweep. ``validate_path`` and ``validate_cycle`` share one bitmask
+second sweep. A graph with fewer than n - 1 edges is disconnected at a
+glance and sweeps only its vertices with an edge, so no n-sized table is
+built for it. ``validate_path`` and ``validate_cycle`` share one bitmask
 walk over ``Graph.adjacency_bits``, a cycle adding its closing edge, and
 ``Path.positions`` (vertex -> index) is built once per path.
 """
@@ -89,7 +91,14 @@ class Graph:
 
     @cached_property
     def _cut_vertices(self) -> tuple[int, ...]:
-        return tuple(articulation_points(self))
+        if self.edge_count >= self.n - 1:
+            return tuple(articulation_points(self))
+        # too few edges to connect: sweep only the vertices with an edge,
+        # relabelled onto 0..k-1 in order, so a huge isolated tail costs nothing
+        touched = sorted({v for edge in self.edges for v in edge})
+        label = {v: i for i, v in enumerate(touched)}
+        sub = Graph(len(touched), [(label[u], label[v]) for u, v in self.edges])
+        return tuple(touched[v] for v in articulation_points(sub))
 
 
 @dataclass(frozen=True)
@@ -205,6 +214,8 @@ def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (vacuously for n <= 1)."""
     if g.n <= 1:
         return True
+    if g.edge_count < g.n - 1:
+        return False
     adj = g.adjacency_bits
     seen = 1
     frontier = 1

@@ -173,22 +173,21 @@ def test_check_graph(g, limits):
     cap, and the graph text only beside a violation."""
     fields = check_graph(g, 200, limits)
     if limits.node_budget == 20:
-        assert "report" not in fields and fields["resource_limited"]
+        assert "l" not in fields and fields["resource_limited"]
         [line] = fields["violations"]
         assert line.startswith("exception during verification: SolveBudgetError: ")
         assert fields["graph_text"] == serialize_graph(g)
         return
-    report = fields["report"]
     assert fields["violations"] == () and fields["graph_text"] is None
     assert fields["vines_checked"] >= 1 and not fields.get("resource_limited")
     if g.n > ORACLE_MAX_VERTICES:
         assert "oracle_l" not in fields and "oracle_c" not in fields
-        assert report.tight
-        assert (report.l, report.c, report.m) == (
+        assert fields["tight"]
+        assert (fields["l"], fields["c"], fields["m"]) == (
             extremal_path_length(X19), extremal_cycle_length(X19), X19.m
         )
     else:
-        assert (fields["oracle_l"], fields["oracle_c"]) == (report.l, report.c)
+        assert (fields["oracle_l"], fields["oracle_c"]) == (fields["l"], fields["c"])
 
 
 # ------------------------------------------------------------------
@@ -249,6 +248,34 @@ def test_fuzz_pool_starts_no_more_workers_than_instances(monkeypatch):
     rep = fuzz_campaign(cfg)
     assert started == [3]
     assert [r.index for r in rep.records] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("count, chunksize", [(8, 1), (500, 63)])
+def test_fuzz_pool_chunks_spread_over_every_worker(monkeypatch, count, chunksize):
+    # Pool.map's rule, ceil(count / (4 * workers)): 8 instances on 2 workers
+    # go one at a time rather than all to the first worker
+    from vinebound import families
+
+    given = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            given.append(chunksize)
+            return (families.InstanceRecord(i, s, n, x, 0, (), None) for i, n, x, s in items)
+
+    monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
+    rep = fuzz_campaign(FuzzConfig(count=count, n_min=4, n_max=6, seed=13, jobs=2))
+    assert given == [chunksize]
+    assert [r.index for r in rep.records] == list(range(count))
 
 
 def test_fuzz_pure_cycles_tight_for_single_ear():

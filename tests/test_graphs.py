@@ -243,6 +243,17 @@ def test_every_entry_point_rejects_with_the_same_error(g, reason, vertex):
         assert two_connectivity_failure(g) == g.two_connectivity_failure == reason
 
 
+def test_too_few_edges_reject_without_n_sized_tables():
+    # two edges cannot connect a million vertices: the check answers at a
+    # glance and the cut sweep visits only the three vertices with an edge
+    g = Graph(10**6, [(0, 1), (1, 2)])
+    with pytest.raises(NotTwoConnectedError) as err:
+        require_two_connected(g)
+    assert str(err.value) == "graph is not 2-connected: graph is disconnected"
+    assert err.value.articulation_vertex == 1
+    assert "neighbors" not in vars(g) and "adjacency_bits" not in vars(g)
+
+
 # ------------------------------------------------------------------
 # path / cycle validation
 # ------------------------------------------------------------------
