@@ -116,23 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The pinned key orders of an analyze report's results and of a fuzz record.
+# The pinned key orders of an analyze report's results and of a fuzz record's check fields.
 _RESULT_KEYS = (
     "l", "c", "m", "slack", "parity", "bound", "bound_met", "tight",
     "ineq1", "ineq2", "q0_len", "qj_lens", "dirac",
 )
 _RECORD_KEYS = (
-    "index", "seed", "n", "extra_requested", "extra_placed",
     "l", "c", "m", "slack", "parity", "bound", "tight",
     "oracle_checked", "vines_checked", "vines_truncated", "ok", "violations",
 )
 # The fuzz flags in the order of FuzzConfig's leading fields; also the
 # pinned keys of a fuzz report's command block after its name.
 _FUZZ_KEYS = ("count", "nmin", "nmax", "seed", "extra_min", "extra_max", "vine_cap")
-# The pinned keys of an oracle-check record and the record fields they read.
+# The pinned check keys of an oracle-check record and the record fields they read.
 _ORACLE_KEYS = {
-    "index": "index", "seed": "seed", "n": "n", "l_search": "l", "l_oracle": "oracle_l",
-    "c_search": "c", "c_oracle": "oracle_c", "ok": "ok",
+    "l_search": "l", "l_oracle": "oracle_l", "c_search": "c", "c_oracle": "oracle_c", "ok": "ok",
 }
 # The record values that verification yields; an instance line prints "-"
 # for each when verification raised.
@@ -269,7 +267,7 @@ def cmd_extremal(args) -> int:
 
 
 def _fuzz_record(r) -> dict:
-    record = {key: getattr(r, key) for key in _RECORD_KEYS}
+    record = {"index": r.index, **r.provenance, **{key: getattr(r, key) for key in _RECORD_KEYS}}
     if r.graph_text is not None:
         record["graph"] = r.graph_text
     return record
@@ -290,7 +288,7 @@ def cmd_fuzz(args) -> int:
     command = {"name": "fuzz", **dict(zip(_FUZZ_KEYS, values))}
     return _run_campaign(
         cfg, args.json, command, _fuzz_record,
-        "[{i:>{width}}/{count}] seed={r.seed} n={r.n} extra={r.extra_placed} "
+        "[{i:>{width}}/{count}] seed={p[seed]} n={p[n]} extra={p[extra_placed]} "
         "l={l} c={c} m={m} y={slack} vines={vines_checked}",
         "VIOLATION", "{passed}/{count} passed, {violations} violations",
     )
@@ -306,8 +304,9 @@ def cmd_oracle_check(args) -> int:
     command = {"name": "oracle-check", "count": args.count, "nmax": args.nmax, "seed": args.seed}
     return _run_campaign(
         cfg, args.json, command,
-        lambda r: {key: getattr(r, name) for key, name in _ORACLE_KEYS.items()},
-        "[{i}/{count}] n={r.n} l={l}/{oracle_l} c={c}/{oracle_c}",
+        lambda r: {"index": r.index, "seed": r.provenance["seed"], "n": r.provenance["n"],
+                   **{key: getattr(r, name) for key, name in _ORACLE_KEYS.items()}},
+        "[{i}/{count}] n={p[n]} l={l}/{oracle_l} c={c}/{oracle_c}",
         "MISMATCH", "{passed}/{count} agree",
     )
 
@@ -316,7 +315,7 @@ def _run_campaign(cfg: FuzzConfig, target: str | None, command: dict, to_json, l
                   failure: str, summary: str) -> int:
     """Run one campaign and write its report, with to_json(record) per
     instance, to target. Unless that is stdout, print for each instance line
-    formatted with the record r, its number i, count, width and the _REACHED
+    formatted with its provenance p, its number i, count, width and the _REACHED
     values, then its status and its violations, indented; then summary
     formatted with passed, count and violations. Return 0 when every instance
     passed; raise ResourceLimitError when only budgets failed; else return 1."""
@@ -334,7 +333,7 @@ def _run_campaign(cfg: FuzzConfig, target: str | None, command: dict, to_json, l
         for r in report.records:
             status = "ok" if r.ok else "BUDGET" if r.resource_limited else failure
             reached = {name: getattr(r, name) if r.vines_checked else "-" for name in _REACHED}
-            print(line.format(r=r, i=r.index + 1, count=count, width=width, **reached), status)
+            print(line.format(p=r.provenance, i=r.index + 1, count=count, width=width, **reached), status)
             for violation in r.violations:
                 print(f"    {violation}")
         text = summary.format(passed=count - failed, count=count, violations=failed - budget)

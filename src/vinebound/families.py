@@ -9,6 +9,9 @@ a Hamiltonian spine whose chord attachments induce the segment lengths
 so that c = m + slack + 2 and c^2 equals 4l + (slack+1)^2 (odd m) or
 4l + (slack+1)^2 - 1 (even m) exactly. The slack must be even because
 the construction halves it; odd slack is rejected rather than rounded.
+
+A graph source is two module-level functions: chord_instances(cfg) yields
+instances and chord_graph(instance) returns each one's graph and provenance.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class FuzzConfig:
             raise PreconditionError(
                 f"need 3 <= n_min <= n_max, got n_min={self.n_min} n_max={self.n_max}"
             )
-        top = self.extra_min if self.extra_max is None else self.extra_max
+        top = self.n_min if self.extra_max is None else self.extra_max
         if not 0 <= self.extra_min <= top:
             raise PreconditionError(
                 f"need 0 <= extra_min <= extra_max, got {self.extra_min}, {self.extra_max}"
@@ -156,19 +159,15 @@ class FuzzConfig:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """Outcome of one fuzz instance: the generated graph's index, seed, n and
-    extra chords, then the fields check_graph returns. vines_checked is 0
-    exactly when verification raised, since a finished check has at least
-    one vine; l through tight then keep their placeholders and
-    resource_limited says whether a budget ran out. oracle_l / oracle_c are
-    the oracles' lengths, None when the instance was not cross-checked;
-    graph_text is set only on violation."""
+    """Outcome of one fuzz instance: its index, its source's provenance, then
+    the fields check_graph returns. vines_checked is 0 exactly when verification
+    raised, since a finished check has at least one vine; l through tight then
+    keep their placeholders and resource_limited says whether a budget ran out.
+    oracle_l / oracle_c are the oracles' lengths, None when the instance was not
+    cross-checked; graph_text is set only on violation."""
 
     index: int
-    seed: int
-    n: int
-    extra_requested: int
-    extra_placed: int
+    provenance: dict
     violations: tuple[str, ...]
     graph_text: str | None
     l: int = 0
@@ -241,22 +240,28 @@ def check_graph(g: Graph, vine_cap: int, limits: SolveLimits) -> dict:
             "graph_text": serialize_graph(g) if violations else None}
 
 
-def _run_fuzz_instance(instance: tuple[int, int, int, int], cfg: FuzzConfig) -> InstanceRecord:
-    index, n, extra, seed = instance
-    g, placed = random_two_connected(n, extra, seed)
-    return InstanceRecord(index, seed, n, extra, placed, **check_graph(g, cfg.vine_cap, cfg.limits))
-
-
-def seeded_instances(cfg: FuzzConfig) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (index, n, extra, seed) for cfg.count instances drawn from one
-    master generator seeded with cfg.seed, in that order: n from
-    [n_min, n_max], extra from [extra_min, extra_max] (up to n when
-    extra_max is None), then the instance seed."""
+def chord_instances(cfg: FuzzConfig) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, extra, seed) for cfg.count instances, drawn in that order from
+    one master generator seeded with cfg.seed: n in [n_min, n_max], extra in
+    [extra_min, extra_max] (up to n when extra_max is None), then the seed."""
     master = random.Random(cfg.seed)
-    for index in range(cfg.count):
+    for _ in range(cfg.count):
         n = master.randint(cfg.n_min, cfg.n_max)
         extra = master.randint(cfg.extra_min, n if cfg.extra_max is None else cfg.extra_max)
-        yield index, n, extra, master.getrandbits(63)
+        yield n, extra, master.getrandbits(63)
+
+
+def chord_graph(instance: tuple[int, int, int]) -> tuple[Graph, dict]:
+    """One instance's graph and its provenance: seed, n, chords requested and placed."""
+    n, extra, seed = instance
+    g, placed = random_two_connected(n, extra, seed)
+    return g, {"seed": seed, "n": n, "extra_requested": extra, "extra_placed": placed}
+
+
+def _run_instance(item: tuple[int, tuple[int, int, int]], cfg: FuzzConfig) -> InstanceRecord:
+    index, instance = item
+    g, provenance = chord_graph(instance)
+    return InstanceRecord(index, provenance, **check_graph(g, cfg.vine_cap, cfg.limits))
 
 
 def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
@@ -266,8 +271,8 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     instance together with a replayable graph file. Records are ordered by
     instance index regardless of the number of worker processes.
     """
-    run = partial(_run_fuzz_instance, cfg=cfg)
-    instances = seeded_instances(cfg)
+    run = partial(_run_instance, cfg=cfg)
+    instances = enumerate(chord_instances(cfg))
     start = time.monotonic()
     # the pool starts all its workers at once, so no more than there are instances
     workers = min(cfg.jobs, cfg.count)

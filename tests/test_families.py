@@ -198,7 +198,7 @@ def test_fuzz_single_triangle():
     report = fuzz_campaign(FuzzConfig(count=1, n_min=3, n_max=3, seed=1))
     assert report.passed == 1 and report.failed == 0
     record = report.records[0]
-    assert record.n == 3 and record.l == 2 and record.c == 3 and record.m == 1
+    assert record.provenance["n"] == 3 and record.l == 2 and record.c == 3 and record.m == 1
 
 
 def test_fuzz_small_campaign_clean():
@@ -212,7 +212,7 @@ def test_fuzz_campaign_deterministic():
     cfg = FuzzConfig(count=10, n_min=4, n_max=9, seed=77)
     a = fuzz_campaign(cfg)
     b = fuzz_campaign(cfg)
-    assert [r.seed for r in a.records] == [r.seed for r in b.records]
+    assert [r.provenance for r in a.records] == [r.provenance for r in b.records]
     assert [(r.l, r.c, r.m, r.slack) for r in a.records] == [
         (r.l, r.c, r.m, r.slack) for r in b.records
     ]
@@ -221,7 +221,7 @@ def test_fuzz_campaign_deterministic():
 def test_fuzz_parallel_matches_sequential():
     seq = fuzz_campaign(FuzzConfig(count=6, n_min=4, n_max=8, seed=13, jobs=1))
     par = fuzz_campaign(FuzzConfig(count=6, n_min=4, n_max=8, seed=13, jobs=2))
-    strip = lambda rep: [(r.index, r.seed, r.l, r.c, r.m, r.slack, r.violations) for r in rep.records]
+    strip = lambda rep: [(r.index, r.provenance, r.l, r.c, r.m, r.slack, r.violations) for r in rep.records]
     assert strip(seq) == strip(par)
 
 
@@ -270,7 +270,7 @@ def test_fuzz_pool_chunks_spread_over_every_worker(monkeypatch, count, chunksize
 
         def map(self, fn, items, chunksize=1):
             given.append(chunksize)
-            return (families.InstanceRecord(i, s, n, x, 0, (), None) for i, n, x, s in items)
+            return (families.InstanceRecord(i, {}, (), None) for i, _ in items)
 
     monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
     rep = fuzz_campaign(FuzzConfig(count=count, n_min=4, n_max=6, seed=13, jobs=2))
@@ -284,7 +284,8 @@ def test_fuzz_pure_cycles_tight_for_single_ear():
     assert report.ok
     for r in report.records:
         assert r.m == 1 and r.tight
-        assert r.c == r.n and r.l == r.n - 1
+        n = r.provenance["n"]
+        assert r.c == n and r.l == n - 1
         assert r.c * r.c == 4 * r.l + (r.slack + 1) ** 2
 
 
@@ -297,6 +298,8 @@ def test_fuzz_config_validation():
         FuzzConfig(count=1, n_min=5, n_max=3, seed=1)
     with pytest.raises(PreconditionError):
         FuzzConfig(count=1, n_min=3, n_max=5, seed=1, extra_min=4, extra_max=2)
+    with pytest.raises(PreconditionError):
+        FuzzConfig(count=1, n_min=3, n_max=3, seed=1, extra_min=5, extra_max=None)
     with pytest.raises(PreconditionError):
         FuzzConfig(count=1, n_min=3, n_max=5, seed=1, vine_cap=0)
     with pytest.raises(PreconditionError):

@@ -19,6 +19,12 @@ from vinebound.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def _ids(cases):
+    """Each case's golden name, with -jobs2 when the case runs in two workers."""
+    return [case[0] + ("-jobs2" if "--jobs" in case[-1] else "") for case in cases]
+
+
 CASES = [
     ("analyze_x1.json", ["analyze", "x1.txt", "--json", "-"]),
     ("analyze_x2.json", ["analyze", "x2.txt", "--json", "-"]),
@@ -29,6 +35,10 @@ CASES = [
     ("analyze_x2_all_vines.json", ["analyze", "x2.txt", "--all-vines", "200", "--json", "-"]),
     ("fuzz_seed7.json",
      ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7", "--json", "-"]),
+    # the same records sent back from two worker processes
+    ("fuzz_seed7.json",
+     ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7", "--json", "-",
+      "--jobs", "2"]),
     # dense instances: 527 vines checked, two enumerations cut at the cap of 200
     ("fuzz_dense_seed11.json",
      ["fuzz", "--count", "10", "--nmin", "18", "--nmax", "22", "--extra-min", "30",
@@ -38,7 +48,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("golden, argv", CASES, ids=[name for name, _ in CASES])
+@pytest.mark.parametrize("golden, argv", CASES, ids=_ids(CASES))
 def test_json_report_matches_golden_bytes(golden, argv, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert main(argv) == 0
@@ -58,20 +68,24 @@ def test_budget_limited_fuzz_exits_3_with_golden_bytes(jobs, capsys):
 
 
 # The human output of four campaigns: stdout in NAME.out and stderr in
-# NAME.err, written by the command lines below. Only the elapsed seconds at
-# the end of the summary line differ between runs; the goldens read
-# "<elapsed>s" there.
+# NAME.err, written by the first four command lines below. Only the elapsed
+# seconds at the end of the summary line differ between runs; the goldens
+# read "<elapsed>s" there.
 HUMAN_CASES = [
     ("fuzz_seed7", 0, ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7"]),
     ("fuzz_budget_seed1", 3, BUDGET_FUZZ[:-2]),
     ("oracle_check_seed3", 0, ["oracle-check", "--count", "20", "--nmax", "11", "--seed", "3"]),
     ("oracle_check_budget_seed3", 3,
      ["oracle-check", "--count", "5", "--nmax", "12", "--seed", "3", "--node-budget", "20"]),
+    # the two fuzz campaigns again, their records sent back by two worker processes
+    ("fuzz_seed7", 0,
+     ["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7", "--jobs", "2"]),
+    ("fuzz_budget_seed1", 3, BUDGET_FUZZ[:-2] + ["--jobs", "2"]),
 ]
 ELAPSED = re.compile(r"(?m)^(summary: .*, )\d+\.\d\ds$")
 
 
-@pytest.mark.parametrize("name, code, argv", HUMAN_CASES, ids=[name for name, *_ in HUMAN_CASES])
+@pytest.mark.parametrize("name, code, argv", HUMAN_CASES, ids=_ids(HUMAN_CASES))
 def test_campaign_human_output_matches_golden_text(name, code, argv, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
