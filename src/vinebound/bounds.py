@@ -41,10 +41,10 @@ which implies the classical Dirac bounds c > sqrt(2l) and c >= 2*sqrt(l).
 All verdicts are computed in exact integer arithmetic; the real-valued
 bound is only ever used for display.
 
-A ladder's walk depends only on the base path and its ear slice. So the
-all-vines pass certifies each distinct ladder once, and on every vine it
-checks the formula length against that certified cycle. Only the report's
-vine gets a VineVerification; the others give their violation lines.
+A ladder's walk depends only on the base path and its ear slice. So a
+pass over vines certifies each distinct ladder once and checks each vine's
+formula lengths against it. Every vine runs the same checks; the report's
+vine, vine #0, gets a VineVerification and the others their violation lines.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .graphs import Graph, Path, Cycle, require_two_connected, validate_cycle
 from .solvers import SolveLimits, DEFAULT_LIMITS, all_longest_paths, longest_cycle, longest_path
-from .vines import Vine, _chain_failure, _ear_fault, enumerate_vines, find_min_vine
+from .vines import Vine, _chain_failure, enumerate_vines, find_min_vine
 
 
 @dataclass(frozen=True)
@@ -333,6 +333,15 @@ def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
     if c * c < bound_sq:
         violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
     a, b = _segments(vine)
+    # the other vine clauses hold already: q0's certification covers the ear
+    # edges and the disjoint interiors, _segments the attachments, and the
+    # chain's strict inequalities rule out an edge of the base path as an
+    # ear. Only an ear interior vertex strictly inside a B segment escapes.
+    pos = vine.base.positions
+    for i, ear in enumerate(vine.ears, start=1):
+        on_path = [v for v in ear.interior if v in pos]
+        if on_path:
+            violations.append(f"ear {i} interior vertex {on_path[0]} lies on the base path")
     ineq1, ineq2 = None, []
     if m >= 2:
         ineq1 = _inequality_1(a, slack)
@@ -363,9 +372,10 @@ def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
     return slack, bound_sq, ineq1, ineq2, lengths, violations
 
 
-def verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVerification:
+def verify_vine_against(g: Graph, l: int, c: int, vine: Vine) -> VineVerification:
     """Run every theorem check one vine supports: slack sign, the exact
-    bound, the segment inequalities, and the three cycle constructions."""
+    bound, the ear interiors, the segment inequalities, and the three
+    cycle constructions."""
     slack, bound_sq, ineq1, ineq2, lengths, violations = _vine_checks(g, l, c, vine, {})
     if bound_sq is None:
         return VineVerification(
@@ -408,18 +418,18 @@ def analyze(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> BoundReport:
 def analyze_all_vines(
     g: Graph, limits: SolveLimits, max_vines: int | None
 ) -> tuple[BoundReport, int, bool, list[str]]:
-    """analyze, plus with a cap verify_all_vines on the same path from one vine
-    enumeration, whose vine #0 is the minimum vine. Returns the report, the
-    vines checked, truncated?, and the violations beyond the report's own."""
+    """analyze over the minimum vine alone, or with a cap over up to that
+    many vines on the same path, whose vine #0 is the minimum vine. Returns
+    the report, the vines checked, truncated?, and each vine's violation lines."""
     require_two_connected(g)
     path = longest_path(g, limits)
     cycle = longest_cycle(g, limits)
     l, c = path.length, cycle.length
     if max_vines is None:
-        vines, truncated, more = (find_min_vine(g, path),), False, []
-        verdict = verify_vine_against(g, path, l, c, vines[0])
+        vines, truncated = (find_min_vine(g, path),), False
     else:
-        vines, truncated, verdict, more = _vine_pass(g, path, l, c, max_vines)
+        vines, truncated = enumerate_vines(g, path, max_count=max_vines)
+    verdict, more = _vine_pass(g, l, c, vines)
     if verdict.slack < 0:
         raise InternalInvariantError(
             f"minimum vine has negative slack: c={c} m={verdict.m}; contradicts c >= m+2"
@@ -439,26 +449,17 @@ def analyze_all_vines(
 
 
 def _vine_pass(
-    g: Graph, p: Path, l: int, c: int, max_vines: int
-) -> tuple[tuple[Vine, ...], bool, VineVerification, list[str]]:
-    """verify_all_vines with the verdict of vine #0, the report's vine; the
-    others share one ladder table and give only their violation lines.
-    enumerate_vines has certified p; a vine's q0 or base-plus-ear cycle
-    certifies its ear edges and that the ears' interiors are disjoint, so
-    each distinct ear is checked once."""
-    vines, truncated = enumerate_vines(g, p, max_count=max_vines)
-    verdict = verify_vine_against(g, p, l, c, vines[0])
+    g: Graph, l: int, c: int, vines: tuple[Vine, ...]
+) -> tuple[VineVerification, list[str]]:
+    """The verdict of vine #0, the report's vine, and every vine's violation
+    lines by index; vines after #0 share one ladder table."""
+    verdict = verify_vine_against(g, l, c, vines[0])
     ladders: dict = {}
     lines = [verdict.violations] + [_vine_checks(g, l, c, vine, ladders)[-1] for vine in vines[1:]]
-    violations: list[str] = []
-    for ear in {ear.vertices: ear for vine in vines for ear in vine.ears}.values():
-        fault = _ear_fault(g, p.positions, ear)
-        if type(fault) is tuple:
-            name = "-".join(map(str, ear.vertices))
-            violations.append(f"ear {name} fails the {fault[0]} check: {fault[1]}")
-    for idx, (vine, vine_lines) in enumerate(zip(vines, lines)):
-        violations.extend(f"vine #{idx} (m={vine.m}): {v}" for v in vine_lines)
-    return vines, truncated, verdict, violations
+    return verdict, [
+        f"vine #{idx} (m={vine.m}): {v}"
+        for idx, (vine, vine_lines) in enumerate(zip(vines, lines)) for v in vine_lines
+    ]
 
 
 def verify_all_vines(
@@ -466,8 +467,8 @@ def verify_all_vines(
 ) -> tuple[int, bool, list[str]]:
     """Check every vine on p, up to max_vines, against l and c; returns
     (vines checked, truncated?, violations)."""
-    vines, truncated, _, violations = _vine_pass(g, p, l, c, max_vines)
-    return len(vines), truncated, violations
+    vines, truncated = enumerate_vines(g, p, max_count=max_vines)
+    return len(vines), truncated, _vine_pass(g, l, c, vines)[1]
 
 
 def verify_all_longest_paths(

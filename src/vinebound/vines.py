@@ -68,7 +68,8 @@ class Ear:
 
 @dataclass(frozen=True)
 class Vine:
-    """Ordered ear family on a base path; validity is checked by verify_vine."""
+    """Ordered ear family on a base path. verify_vine names the first vine
+    condition it breaks; the bound checks reject one that breaks any."""
 
     base: Path
     ears: tuple[Ear, ...]
@@ -175,25 +176,6 @@ def _chain_failure(xs: list[int], ys: list[int], last_pos: int) -> str | None:
     return None
 
 
-def _ear_fault(g: Graph, pos: dict[int, int], ear: Ear) -> tuple[str, str] | int:
-    """The ear's first fault against g and the base path's positions, as
-    (clause, detail after "ear i "), or the bitmask of its interior."""
-    try:
-        validate_path(g, ear.vertices)
-    except PathValidationError as exc:
-        return "ear", f"is not a path of the graph: {exc}"
-    if ear.x_attach not in pos or ear.y_attach not in pos:
-        return "attachment", "attachment off the base path"
-    mask = 0
-    for v in ear.interior:
-        if v in pos:
-            return "interior", f"interior vertex {v} lies on the base path"
-        mask |= 1 << v
-    if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
-        return "base-edge", "is an edge of the base path itself"
-    return mask
-
-
 def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
     """Check every vine condition; report the first violated clause."""
     try:
@@ -203,22 +185,27 @@ def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
     if vine.m == 0:
         return VineVerdict(False, "empty", "a vine needs at least one ear")
     pos = vine.base.positions
-    masks = []
     for i, ear in enumerate(vine.ears, start=1):
-        fault = _ear_fault(g, pos, ear)
-        if type(fault) is tuple:
-            return VineVerdict(False, fault[0], f"ear {i} {fault[1]}", (i,))
-        masks.append(fault)
-    used = 0
-    for i, mask in enumerate(masks, start=1):
-        if used & mask:
-            # name the first shared vertex of ear i and the first ear holding it
-            v = next(v for v in vine.ears[i - 1].interior if used >> v & 1)
-            first = next(k for k, other in enumerate(masks, start=1) if other >> v & 1)
-            return VineVerdict(
-                False, "overlap", f"ears {first} and {i} share interior vertex {v}", (first, i)
-            )
-        used |= mask
+        try:
+            validate_path(g, ear.vertices)
+        except PathValidationError as exc:
+            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
+        if ear.x_attach not in pos or ear.y_attach not in pos:
+            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
+        for v in ear.interior:
+            if v in pos:
+                detail = f"ear {i} interior vertex {v} lies on the base path"
+                return VineVerdict(False, "interior", detail, (i,))
+        if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
+            detail = f"ear {i} is an edge of the base path itself"
+            return VineVerdict(False, "base-edge", detail, (i,))
+    first: dict[int, int] = {}  # interior vertex -> the first ear holding it
+    for i, ear in enumerate(vine.ears, start=1):
+        for v in ear.interior:
+            if v in first:
+                detail = f"ears {first[v]} and {i} share interior vertex {v}"
+                return VineVerdict(False, "overlap", detail, (first[v], i))
+            first[v] = i
     xs = [pos[e.x_attach] for e in vine.ears]
     ys = [pos[e.y_attach] for e in vine.ears]
     broken = _chain_failure(xs, ys, len(vine.base.vertices) - 1)

@@ -1,6 +1,6 @@
 import pytest
 
-from vinebound import Graph
+from vinebound import Ear, Graph, Vine, validate_path
 
 
 def triangle_graph() -> Graph:
@@ -27,6 +27,18 @@ def x1_graph() -> Graph:
 def x2_graph() -> Graph:
     """Path 0..6 plus chords 0-3, 1-5, 3-6 (odd-m tight instance)."""
     return Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 3), (1, 5), (3, 6)])
+
+
+def non_vine_graph() -> Graph:
+    """Path 0..8 plus the chord 0-5 and the path 3-9-4-10-8 through vertex 4."""
+    return Graph(11, [(i, i + 1) for i in range(8)] + [(0, 5), (3, 9), (9, 4), (4, 10), (10, 8)])
+
+
+def non_vine(g: Graph) -> Vine:
+    """Ears 0-5 and 3-9-4-10-8 on the path 0..8 of non_vine_graph: not a vine,
+    as ear 2's interior vertex 4 lies on the path, strictly inside B_1 = 3..5.
+    Every ladder is still a simple cycle, the q0 one of length 11."""
+    return Vine(validate_path(g, range(9)), [Ear((0, 5)), Ear((3, 9, 4, 10, 8))])
 
 
 def theta_graph() -> Graph:

@@ -38,7 +38,7 @@ from vinebound.families import (
     extremal_path_length,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, non_vine, non_vine_graph, path_graph
 
 
 def x2_decomposition(x2):
@@ -392,7 +392,7 @@ def test_slack_nonnegative_on_certified_paths(x1, x2, c5, k4, theta, triangle):
 def test_verify_vine_against_m1(c5):
     p = validate_path(c5, range(5))
     vine = Vine(p, [Ear((0, 4))])
-    v = verify_vine_against(c5, p, l=4, c=5, vine=vine)
+    v = verify_vine_against(c5, l=4, c=5, vine=vine)
     assert v.violations == ()
     assert v.q0_len == 5 and v.tight
 
@@ -407,7 +407,7 @@ def test_verify_vine_against_m1_checks_attachments_and_chain(ear, message):
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (4, 5), (5, 0)])
     p = validate_path(g, range(5))
     with pytest.raises(PreconditionError, match=message):
-        verify_vine_against(g, p, l=5, c=6, vine=Vine(p, [Ear(ear)]))
+        verify_vine_against(g, l=5, c=6, vine=Vine(p, [Ear(ear)]))
 
 
 def test_verify_all_vines_clean_on_fixtures(x1, x2, k4, theta, c5):
@@ -452,24 +452,48 @@ def test_verify_all_vines_checks_the_chain_once_per_vine(x2, monkeypatch):
         assert len(calls) == checked
 
 
-def test_verify_all_vines_reports_each_faulty_ear_once(tmp_path, x2, monkeypatch):
-    from vinebound import bounds, enumerate_vines, serialize_graph
+def test_verify_vine_against_rejects_an_ear_through_the_base_path():
+    """Every ladder of the non-vine is a simple cycle no longer than c, so
+    only the interior check sees that ear 2 passes through vertex 4."""
+    g = non_vine_graph()
+    v = verify_vine_against(g, l=8, c=11, vine=non_vine(g))
+    assert v.violations == ("ear 2 interior vertex 4 lies on the base path",)
+    assert v.q0_len == 11 and verify_vine(g, non_vine(g)).clause == "interior"
+
+
+def test_analyze_rejects_a_non_vine_as_the_minimum_vine(tmp_path, capsys, monkeypatch):
+    """With the non-vine's spine as the longest path and the non-vine as its
+    minimum vine, analyze and the command line report it, with and without
+    --all-vines."""
+    from vinebound import bounds, serialize_graph
     from vinebound.cli import main
 
-    monkeypatch.setattr(bounds, "_ear_fault", lambda g, pos, ear: ("interior", "simulated fault"))
-    # K5's five vines hold ten ears, six of them distinct
-    for g in (x2, complete_graph(5)):
-        p = longest_path(g)
-        l, c = p.length, longest_cycle(g).length
-        held = [ear.vertices for vine in enumerate_vines(g, p, 200).vines for ear in vine.ears]
-        distinct = list(dict.fromkeys(held))
-        _, _, violations = verify_all_vines(g, p, l, c, 200)
-        assert len(violations) == len(distinct)
-        for line, vertices in zip(violations, distinct):
-            assert line.startswith(f"ear {'-'.join(map(str, vertices))} ") and "interior" in line
-    source = tmp_path / "x2.txt"
-    source.write_text(serialize_graph(x2))
+    g = non_vine_graph()
+    vine = non_vine(g)
+    monkeypatch.setattr(bounds, "longest_path", lambda g, limits: vine.base)
+    monkeypatch.setattr(bounds, "find_min_vine", lambda g, p: vine)
+    line = "ear 2 interior vertex 4 lies on the base path"
+    assert line in analyze(g).violations
+    source = tmp_path / "non_vine.txt"
+    source.write_text(serialize_graph(g))
+    assert main(["analyze", str(source)]) == 1
+    monkeypatch.setattr(bounds, "enumerate_vines", lambda g, p, max_count: ((vine,), False))
     assert main(["analyze", str(source), "--all-vines", "200"]) == 1
+    assert f"violation: vine #0 (m=2): {line}" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_all_vines_reports_an_ear_through_the_base_path_in_each_vine(monkeypatch):
+    """The same faulty ear in two vines gives one line for each, though the
+    second finds its ladders in the pass's table."""
+    from vinebound import bounds, enumerate_vines
+
+    g = non_vine_graph()
+    bad = non_vine(g)
+    passed = (*enumerate_vines(g, bad.base, 200).vines, bad, bad)
+    monkeypatch.setattr(bounds, "enumerate_vines", lambda g, p, max_count: (passed, False))
+    assert verify_all_vines(g, bad.base, 10, 11, 200) == (3, False, [
+        f"vine #{k} (m=2): ear 2 interior vertex 4 lies on the base path" for k in (1, 2)
+    ])
 
 
 def test_a_ladder_table_hit_still_checks_the_formula_length():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from vinebound import (
 from vinebound.errors import InternalInvariantError, ResourceLimitError
 from vinebound.cli import main
 
-from conftest import cycle_graph, path_graph, x2_graph
+from conftest import cycle_graph, non_vine, non_vine_graph, path_graph, x2_graph
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -553,26 +554,32 @@ def test_exhaustive_paths_reuses_the_report(capsys, monkeypatch):
 
 @pytest.fixture
 def forced_violations(monkeypatch):
-    """Every bound off by one, both Dirac checks failed, and each ear that
-    starts at the base path's first vertex faulted."""
+    """Every bound off by one and both Dirac checks failed."""
     from vinebound import bounds
-
-    real_fault = bounds._ear_fault
-
-    def fault(g, pos, ear):
-        if pos[ear.x_attach] == 0:
-            return "interior", "simulated fault"
-        return real_fault(g, pos, ear)
 
     monkeypatch.setattr(bounds, "circumference_bound_squared",
                         lambda l, slack, m: (slack + m + 2) ** 2 + 1)
     monkeypatch.setattr(bounds, "dirac_check", lambda l, c: bounds.DiracVerdict(False, False))
-    monkeypatch.setattr(bounds, "_ear_fault", fault)
 
 
-def test_all_vines_violation_lines_keep_their_order(capsys, monkeypatch, forced_violations):
-    """The report's lines, then one line per faulty ear, then each vine's
-    lines by index, word for word."""
+def _enumerate_with_the_non_vine(monkeypatch, first):
+    """Make the all-vines pass check the non-vine and the one vine on its
+    spine, the non-vine first or second."""
+    from vinebound import bounds, enumerate_vines
+
+    g = non_vine_graph()
+    bad = non_vine(g)
+    (good,) = enumerate_vines(g, bad.base, 200).vines
+    vines = (bad, good) if first else (good, bad)
+    monkeypatch.setattr(bounds, "enumerate_vines", lambda g, p, max_count: (vines, False))
+    return g
+
+
+def test_all_vines_violation_lines_keep_their_order(
+    tmp_path, capsys, monkeypatch, forced_violations
+):
+    """The report's lines, then each vine's lines by index, word for word;
+    a vine's own lines in the order its checks run."""
     monkeypatch.chdir(GOLDEN)
     assert main(["analyze", "x2.txt", "--all-vines", "200", "--verbose"]) == 1
     out = capsys.readouterr().out.splitlines()
@@ -581,7 +588,6 @@ def test_all_vines_violation_lines_keep_their_order(capsys, monkeypatch, forced_
         "violation: Dirac bound violated: c^2=25 <= 2l=12",
         "violation: sharp Dirac bound violated: c^2=25 < 4l=24",
         "all-vines: checked 1",
-        "violation: ear 0-3 fails the interior check: simulated fault",
         "violation: vine #0 (m=3): bound violated: c^2=25 < 26 (l=6 slack=0 m=3)",
     ]
     assert main(["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7",
@@ -592,32 +598,48 @@ def test_all_vines_violation_lines_keep_their_order(capsys, monkeypatch, forced_
         "bound violated: c^2=144 < 145 (l=11 slack=9 m=1)",
         "Dirac bound violated: c^2=144 <= 2l=22",
         "sharp Dirac bound violated: c^2=144 < 4l=44",
-        "ear 0-9 fails the interior check: simulated fault",
-        "ear 0-11 fails the interior check: simulated fault",
-        "ear 0-10 fails the interior check: simulated fault",
-        "ear 0-4 fails the interior check: simulated fault",
         "vine #0 (m=1): bound violated: c^2=144 < 145 (l=11 slack=9 m=1)",
         "vine #1 (m=2): bound violated: c^2=144 < 145 (l=11 slack=8 m=2)",
         "vine #2 (m=2): bound violated: c^2=144 < 145 (l=11 slack=8 m=2)",
         "vine #3 (m=3): bound violated: c^2=144 < 145 (l=11 slack=7 m=3)",
         "vine #4 (m=4): bound violated: c^2=144 < 145 (l=11 slack=6 m=4)",
     ]
-
-
-def test_analyze_status_reads_violation_whenever_it_exits_1(capsys, monkeypatch):
-    """An all-vines line alone makes analyze exit 1; its summary line must
-    then read VIOLATION, not the report's own TIGHT."""
-    from vinebound import bounds
-
-    real_fault = bounds._ear_fault
-    monkeypatch.setattr(bounds, "_ear_fault", lambda g, pos, ear: (
-        ("interior", "simulated fault") if pos[ear.x_attach] == 0 else real_fault(g, pos, ear)))
-    monkeypatch.chdir(GOLDEN)
-    assert main(["analyze", "x2.txt", "--all-vines", "200", "--exhaustive-paths"]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "l=6 c=5 m=3 y=0 bound=5.000000 VIOLATION",
-        "violation: ear 0-3 fails the interior check: simulated fault",
+    source = write_graph(tmp_path, _enumerate_with_the_non_vine(monkeypatch, first=True))
+    assert main(["analyze", source, "--all-vines", "200", "--verbose"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("violation:", "all-vines:"))] == [
+        "violation: bound violated: c^2=121 < 122 (l=10 slack=7 m=2)",
+        "violation: ear 2 interior vertex 4 lies on the base path",
+        "violation: Dirac bound violated: c^2=121 <= 2l=20",
+        "violation: sharp Dirac bound violated: c^2=121 < 4l=40",
+        "all-vines: checked 2",
+        "violation: vine #0 (m=2): bound violated: c^2=121 < 122 (l=10 slack=7 m=2)",
+        "violation: vine #0 (m=2): ear 2 interior vertex 4 lies on the base path",
+        "violation: vine #1 (m=2): bound violated: c^2=121 < 122 (l=10 slack=7 m=2)",
     ]
+
+
+def test_analyze_status_reads_violation_whenever_it_exits_1(tmp_path, capsys, monkeypatch):
+    """An all-vines or all-paths line alone makes analyze exit 1; its summary
+    line must then read VIOLATION, not the report's own status."""
+    from vinebound import bounds, longest_path
+
+    g = _enumerate_with_the_non_vine(monkeypatch, first=False)
+    source = write_graph(tmp_path, g)
+    assert main(["analyze", source, "--all-vines", "200"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "l=10 c=11 m=2 y=7 bound=10.148892 VIOLATION",
+        "violation: vine #1 (m=2): ear 2 interior vertex 4 lies on the base path",
+    ]
+    report_path = longest_path(g)
+    real_min_vine = bounds.find_min_vine
+    monkeypatch.setattr(bounds, "find_min_vine",
+                        lambda g, p: real_min_vine(g, p) if p == report_path else non_vine(g))
+    assert main(["analyze", source, "--exhaustive-paths"]) == 1
+    summary, *lines = capsys.readouterr().out.splitlines()
+    assert summary == "l=10 c=11 m=2 y=7 bound=10.148892 VIOLATION"
+    line = r"violation: longest path #\d+: ear 2 interior vertex 4 lies on the base path"
+    assert len(lines) == 14 and all(re.fullmatch(line, got) for got in lines)
 
 
 # ------------------------------------------------------------------
