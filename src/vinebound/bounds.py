@@ -41,10 +41,10 @@ which implies the classical Dirac bounds c > sqrt(2l) and c >= 2*sqrt(l).
 All verdicts are computed in exact integer arithmetic; the real-valued
 bound is only ever used for display.
 
-A ladder's walk depends only on the base path and its ear slice. So a
-pass over vines certifies each distinct ladder once and checks each vine's
-formula lengths against it. Every vine runs the same checks; the report's
-vine, vine #0, gets a VineVerification and the others their violation lines.
+A ladder's walk depends only on the base path and its ear slice. So one
+pass verifies every vine on one ladder table: each distinct ladder is
+certified once, and every vine's formula lengths are checked against it.
+Vine #0, the report's vine, also gets a VineVerification from its checks.
 """
 
 from __future__ import annotations
@@ -130,22 +130,6 @@ def _ladder(vine: Vine, s: int, t: int) -> list[int]:
     return walk
 
 
-def _certify(g: Graph, vertices, expected_len: int, label: str) -> Cycle:
-    try:
-        cycle = validate_cycle(g, vertices)
-    except CycleValidationError as exc:
-        raise InternalInvariantError(f"{label} is not a simple cycle: {exc}") from exc
-    _require_formula_length(cycle, expected_len, label)
-    return cycle
-
-
-def _require_formula_length(cycle: Cycle, expected_len: int, label: str) -> None:
-    if cycle.length != expected_len:
-        raise InternalInvariantError(
-            f"{label} length {cycle.length} does not match the formula value {expected_len}"
-        )
-
-
 def _ladder_cycle(g: Graph, vine: Vine, a, b, s: int, t: int, label: str, ladders: dict) -> Cycle:
     """The ladder over the 0-based ears s..t, certified at its length by the
     module docstring's identity (where the ears are 1-based). ladders maps an
@@ -156,9 +140,14 @@ def _ladder_cycle(g: Graph, vine: Vine, a, b, s: int, t: int, label: str, ladder
     expected += (b[s - 1] if s else 0) + (b[t] if t < len(b) else 0)
     cycle = ladders.get(ears)
     if cycle is None:
-        ladders[ears] = cycle = _certify(g, _ladder(vine, s, t), expected, label)
-    else:
-        _require_formula_length(cycle, expected, label)
+        try:
+            ladders[ears] = cycle = validate_cycle(g, _ladder(vine, s, t))
+        except CycleValidationError as exc:
+            raise InternalInvariantError(f"{label} is not a simple cycle: {exc}") from exc
+    if cycle.length != expected:
+        raise InternalInvariantError(
+            f"{label} length {cycle.length} does not match the formula value {expected}"
+        )
     return cycle
 
 
@@ -375,18 +364,8 @@ def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
 def verify_vine_against(g: Graph, l: int, c: int, vine: Vine) -> VineVerification:
     """Run every theorem check one vine supports: slack sign, the exact
     bound, the ear interiors, the segment inequalities, and the three
-    cycle constructions."""
-    slack, bound_sq, ineq1, ineq2, lengths, violations = _vine_checks(g, l, c, vine, {})
-    if bound_sq is None:
-        return VineVerification(
-            vine.m, slack, float("nan"), False, False, None, (), 0, (), None, tuple(violations)
-        )
-    lens = list(lengths.values())
-    return VineVerification(
-        vine.m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq,
-        Inequality1Verdict(*ineq1) if ineq1 else None, tuple(Inequality2Verdict(*v) for v in ineq2),
-        lens[0], tuple(lens[1 : 1 + len(ineq2)]), lengths.get("qstar cycle"), tuple(violations),
-    )
+    cycle constructions, in the vine pass that verifies every vine."""
+    return _vine_pass(g, l, c, (vine,))[0]
 
 
 @dataclass(frozen=True)
@@ -451,14 +430,26 @@ def analyze_all_vines(
 def _vine_pass(
     g: Graph, l: int, c: int, vines: tuple[Vine, ...]
 ) -> tuple[VineVerification, list[str]]:
-    """The verdict of vine #0, the report's vine, and every vine's violation
-    lines by index; vines after #0 share one ladder table."""
-    verdict = verify_vine_against(g, l, c, vines[0])
+    """One pass verifies every vine, vine #0 included, on one ladder table.
+    Returns the verdict of vine #0, the report's vine, and every vine's
+    violation lines by index."""
     ladders: dict = {}
-    lines = [verdict.violations] + [_vine_checks(g, l, c, vine, ladders)[-1] for vine in vines[1:]]
+    checks = [_vine_checks(g, l, c, vine, ladders) for vine in vines]
+    slack, bound_sq, ineq1, ineq2, lengths, violations = checks[0]
+    if bound_sq is None:
+        verdict = VineVerification(
+            vines[0].m, slack, float("nan"), False, False, None, (), 0, (), None, tuple(violations)
+        )
+    else:
+        lens = list(lengths.values())
+        verdict = VineVerification(
+            vines[0].m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq,
+            Inequality1Verdict(*ineq1) if ineq1 else None, tuple(Inequality2Verdict(*v) for v in ineq2),
+            lens[0], tuple(lens[1 : 1 + len(ineq2)]), lengths.get("qstar cycle"), tuple(violations),
+        )
     return verdict, [
         f"vine #{idx} (m={vine.m}): {v}"
-        for idx, (vine, vine_lines) in enumerate(zip(vines, lines)) for v in vine_lines
+        for idx, (vine, check) in enumerate(zip(vines, checks)) for v in check[-1]
     ]
 
 

@@ -227,7 +227,9 @@ def cmd_analyze(args) -> int:
             if vines_checked is not None:
                 cap = f" (stopped at the cap of {args.all_vines})" if truncated else ""
                 print(f"all-vines: checked {vines_checked}{cap}")
-        for violation in extra_violations:
+        # the verbose dump already lists the report's own violations
+        shown = extra_violations if args.verbose else [*report.violations, *extra_violations]
+        for violation in shown:
             print(f"violation: {violation}")
     return EXIT_VIOLATION if violated else EXIT_OK
 

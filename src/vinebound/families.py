@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -113,11 +114,16 @@ def random_two_connected(n: int, extra_ears: int, seed: int) -> tuple[Graph, int
     for i in range(n):
         u, v = order[i], order[(i + 1) % n]
         edges.add((min(u, v), max(u, v)))
-    candidates = sorted(
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
-    )
-    placed = min(extra_ears, len(candidates))
-    edges.update(rng.sample(candidates, placed))
+    # rng.sample draws by the population's length alone, so drawing ranks
+    # among the sorted non-edges places the chords a list of them would
+    starts = list(accumulate(range(n - 1, 0, -1), initial=0))  # rank of pair (u, u+1)
+    skips = [r - k for k, r in enumerate(sorted(starts[u] + v - u - 1 for u, v in edges))]
+    free = range(n * (n - 1) // 2 - n)
+    placed = min(extra_ears, len(free))
+    for i in rng.sample(free, placed):
+        r = i + bisect_right(skips, i)  # skips[k]: the non-edges below the k-th cycle edge
+        u = bisect_right(starts, r) - 1
+        edges.add((u, r - starts[u] + u + 1))
     g = Graph(n, edges)
     if not is_two_connected(g):
         raise InternalInvariantError("cycle-plus-chords generator produced a non-2-connected graph")

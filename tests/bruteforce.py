@@ -8,13 +8,15 @@ builders and the dict-based vine check after them are the references for
 the ladder walk and for the once-per-ear vine check, the next function
 is the per-vine verification that built the single-ear cycle by hand, the
 next two are the per-subset oracles that the bit-parallel ones replaced,
-and the last two are the reach step one vertex at a time and the cycle
-search as it was before its dominance table.
+the next two are the reach step one vertex at a time and the cycle
+search as it was before its dominance table, and the last is the chord
+sampler that listed every non-edge.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 from vinebound import (
     Cycle,
@@ -35,7 +37,7 @@ from vinebound import (
     decompose,
     validate_path,
 )
-from vinebound.bounds import VineVerification, _certify
+from vinebound.bounds import VineVerification
 from vinebound.errors import InternalInvariantError, SolveBudgetError
 from vinebound.graphs import validate_cycle
 from vinebound.solvers import (
@@ -304,8 +306,15 @@ def reference_verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine)
     if m == 1:
         ear = vine.ears[0]
         ring = tuple(p.vertices) + tuple(reversed(ear.interior))
-        q0 = _certify(g, ring, p.length + ear.length, "base-plus-ear cycle")
-        q0_len = q0.length
+        try:
+            q0_len = reference_validate_cycle(g, ring).length
+        except CycleValidationError as exc:
+            raise InternalInvariantError(f"base-plus-ear cycle is not a simple cycle: {exc}") from exc
+        if q0_len != p.length + ear.length:
+            raise InternalInvariantError(
+                f"base-plus-ear cycle length {q0_len} does not match the formula value "
+                f"{p.length + ear.length}"
+            )
         if q0_len > c:
             violations.append(f"base-plus-ear cycle longer than the circumference: {q0_len} > {c}")
         if c < l + 1:
@@ -524,3 +533,21 @@ def reference_longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> C
     if best_seq is None:
         raise InternalInvariantError("longest_cycle: no cycle found in a 2-connected graph")
     return validate_cycle(g, best_seq)
+
+
+def reference_random_two_connected(n: int, extra_ears: int, seed: int) -> tuple[Graph, int]:
+    """random_two_connected as it was when it sampled its chords from the
+    sorted list of all non-edges, about n^2/2 pairs."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    for i in range(n):
+        u, v = order[i], order[(i + 1) % n]
+        edges.add((min(u, v), max(u, v)))
+    candidates = sorted(
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
+    )
+    placed = min(extra_ears, len(candidates))
+    edges.update(rng.sample(candidates, placed))
+    return Graph(n, edges), placed

@@ -522,21 +522,21 @@ def test_each_checked_graph_runs_one_vine_pass(capsys, monkeypatch):
     from vinebound import bounds, vines
 
     calls = _count_calls(monkeypatch, (vines, "enumerate_ears"), (bounds, "_vine_checks"),
-                         (bounds, "verify_vine_against"))
+                         (bounds, "_vine_pass"))
     assert main(["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7",
                  "--json", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert calls == {
         "enumerate_ears": 20,
         "_vine_checks": sum(r["vines_checked"] for r in doc["instances"]),
-        "verify_vine_against": 20,
+        "_vine_pass": 20,
     }
     monkeypatch.chdir(GOLDEN)
     for name in calls:
         calls[name] = 0
     assert main(["analyze", "x2.txt", "--all-vines", "200", "--verbose"]) == 0
     assert "all-vines: checked 1" in capsys.readouterr().out
-    assert calls == {"enumerate_ears": 1, "_vine_checks": 1, "verify_vine_against": 1}
+    assert calls == {"enumerate_ears": 1, "_vine_checks": 1, "_vine_pass": 1}
 
 
 def test_exhaustive_paths_reuses_the_report(capsys, monkeypatch):
@@ -544,12 +544,62 @@ def test_exhaustive_paths_reuses_the_report(capsys, monkeypatch):
     minimum vine per longest path, one full verdict, and no oracle call."""
     from vinebound import bounds, solvers, vines
 
-    calls = _count_calls(monkeypatch, (vines, "find_min_vine"), (bounds, "verify_vine_against"),
+    calls = _count_calls(monkeypatch, (vines, "find_min_vine"), (bounds, "_vine_pass"),
                          (solvers, "longest_path_oracle"))
     monkeypatch.chdir(GOLDEN)
     assert main(["analyze", "x2.txt", "--exhaustive-paths"]) == 0
     assert capsys.readouterr().out == "l=6 c=5 m=3 y=0 bound=5.000000 TIGHT\n"
-    assert calls == {"find_min_vine": 4, "verify_vine_against": 1, "longest_path_oracle": 0}
+    assert calls == {"find_min_vine": 4, "_vine_pass": 1, "longest_path_oracle": 0}
+
+
+def test_one_vine_pass_walks_each_ladder_once(capsys, monkeypatch):
+    """Vine #0 and the other vines of a pass share one ladder table, so no
+    pass walks the same ear slice twice."""
+    from vinebound import bounds
+
+    walked: list[set] = []
+    repeats = []
+    vine_pass, ladder = bounds._vine_pass, bounds._ladder
+
+    def one_pass(*args):
+        walked.append(set())
+        return vine_pass(*args)
+
+    def walk(vine, s, t):
+        ears = vine.ears[s : t + 1]
+        if ears in walked[-1]:
+            repeats.append(ears)
+        walked[-1].add(ears)
+        return ladder(vine, s, t)
+
+    monkeypatch.setattr(bounds, "_vine_pass", one_pass)
+    monkeypatch.setattr(bounds, "_ladder", walk)
+    assert main(["fuzz", "--count", "20", "--nmin", "4", "--nmax", "12", "--seed", "7",
+                 "--json", "-"]) == 0
+    capsys.readouterr()
+    assert len(walked) == 20 and sum(map(len, walked)) == 86
+    assert repeats == []
+
+
+def test_plain_analyze_says_why_it_exits_1(capsys, monkeypatch):
+    """Without --verbose the report's own violation lines follow the
+    summary, before the all-vines ones; --verbose prints them once."""
+    from vinebound import bounds
+
+    monkeypatch.setattr(bounds, "circumference_bound_squared",
+                        lambda l, slack, m: (slack + m + 2) ** 2 + 1)
+    monkeypatch.chdir(GOLDEN)
+    summary = "l=6 c=5 m=3 y=0 bound=5.099020 VIOLATION"
+    reason = "violation: bound violated: c^2=25 < 26 (l=6 slack=0 m=3)"
+    assert main(["analyze", "x2.txt"]) == 1
+    assert capsys.readouterr().out.splitlines() == [summary, reason]
+    assert main(["analyze", "x2.txt", "--all-vines", "200"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        summary, reason, "violation: vine #0 (m=3): bound violated: c^2=25 < 26 (l=6 slack=0 m=3)",
+    ]
+    assert main(["analyze", "x2.txt", "--verbose"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == summary and out.count(reason) == 1
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vinebound import (
@@ -22,6 +24,7 @@ from vinebound import (
 )
 from vinebound.solvers import ORACLE_MAX_VERTICES
 
+from bruteforce import reference_random_two_connected
 from conftest import triangle_graph, x1_graph, x2_graph
 
 
@@ -147,6 +150,16 @@ def test_random_generator_saturation():
     g, placed = random_two_connected(4, 100, seed=1)
     assert placed == 2  # K4 reached: only 2 chords exist beyond the 4-cycle
     assert g.edge_count == 6
+
+
+def test_random_generator_matches_the_list_sampler():
+    """Chords drawn as ranks among the non-edges are the chords drawn from
+    the sorted list of them, seed for seed, up to saturation."""
+    rng = random.Random(2026)
+    for _ in range(1500):
+        n = rng.randint(3, 40)
+        extra, seed = rng.randint(0, n * (n - 1) // 2), rng.getrandbits(63)
+        assert random_two_connected(n, extra, seed) == reference_random_two_connected(n, extra, seed)
 
 
 def test_random_generator_preconditions():
