@@ -75,16 +75,6 @@ class SegmentDecomposition:
     def m(self) -> int:
         return self.vine.m
 
-    def a_vertices(self, i: int) -> tuple[int, ...]:
-        """Vertex run of the 1-based segment A_i."""
-        start = sum(self.a[: i - 1]) + sum(self.b[: i - 1])
-        return self.vine.base.vertices[start : start + self.a[i - 1] + 1]
-
-    def b_vertices(self, i: int) -> tuple[int, ...]:
-        """Vertex run of the 1-based segment B_i."""
-        start = sum(self.a[:i]) + sum(self.b[: i - 1])
-        return self.vine.base.vertices[start : start + self.b[i - 1] + 1]
-
 
 def decompose(vine: Vine) -> SegmentDecomposition:
     """Cut the base path into the A/B segments induced by the vine. The

@@ -58,12 +58,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted adjacency lists."""
@@ -120,14 +114,6 @@ class Path:
     def length(self) -> int:
         """Edge count."""
         return len(self.vertices) - 1
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
 
     @cached_property
     def positions(self) -> dict[int, int]:

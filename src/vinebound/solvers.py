@@ -201,8 +201,9 @@ def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
     # One frame per vertex of seq, plus a bottom frame whose candidates are
     # the start vertices: todo holds the bitmask of neighbours still to try,
     # taken lowest first, and forced the (reach, twos) of the frame's vertex
-    # when it has exactly one candidate, else None. visited is the bits of
-    # seq, so every pop from seq clears its bit.
+    # when it has exactly one candidate, else None. A candidate v joins seq
+    # and visited, the bits of seq, only when the search expands it, so
+    # every pop from seq clears its bit.
     seq: list[int] = []
     todo = [(1 << n) - 1]
     visited = 0
@@ -219,27 +220,23 @@ def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
         todo[-1] = cand ^ low
         budget.spend()
         v = low.bit_length() - 1
-        visited |= low
-        seq.append(v)
-        length = len(seq) - 1
+        length = len(seq)  # the edges of seq + v
         if length > best_len:
             if l is not None:
                 if adj[v] & ~visited:
-                    raise InternalInvariantError(f"all_longest_paths: path {seq} extends past l={l}")
-                if v > seq[0]:
-                    yield seq.copy()
-                visited ^= 1 << seq.pop()
+                    raise InternalInvariantError(f"all_longest_paths: path {[*seq, v]} extends past l={l}")
+                if seq and v > seq[0]:
+                    yield [*seq, v]
                 continue
             # strict, so the first optimal sequence found, the pinned
             # witness, is the last one yielded
             best_len = length
-            yield seq.copy()
+            yield [*seq, v]
         if best_len == n - 1:
             # nothing is longer, so the bound below would prune too
-            visited ^= 1 << seq.pop()
             continue
         if forced[-1] is None:
-            reach, twos = _reach(adj, runs, v, visited, adj[v], 0)
+            reach, twos = _reach(adj, runs, v, visited | low, adj[v], 0)
         else:
             # v is its parent's only way on: v's reach is the parent's
             # less v, and among those only v lost a neighbour
@@ -249,8 +246,9 @@ def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
         # a path from v runs through vertices with two neighbours in
         # reach + v and ends in at most one vertex with fewer
         if length + inner.bit_count() + (inner != reach) <= best_len:
-            visited ^= 1 << seq.pop()
             continue
+        visited |= low
+        seq.append(v)
         cand = adj[v] & ~visited
         todo.append(cand)
         forced.append(None if cand & (cand - 1) else (reach, twos))
@@ -327,9 +325,7 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 todo[-1] = cand ^ low
                 budget.spend()
                 v = low.bit_length() - 1
-                visited |= low
-                seq.append(v)
-                count = len(seq)
+                count = len(seq) + 1  # the vertices of seq + v
                 if count == 2:
                     # each cycle is searched in one direction only: it
                     # leaves the root for the smaller of its two root
@@ -337,24 +333,25 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                     closers = root_adj & ~((low << 1) - 1)
                 elif count > best_len and closers & low:
                     best_len = count
-                    best_seq = seq.copy()
+                    best_seq = [*seq, v]
                 if forced[-1] is not None:
                     reach, twos = forced[-1]
                     reach ^= low
                 elif v == root:
-                    reach, twos = _reach(adj, runs, v, visited, root_adj, 0)
+                    reach, twos = _reach(adj, runs, v, visited | low, root_adj, 0)
                 else:
-                    reach, twos = _reach(adj, runs, v, visited, adj[v] | closers, adj[v] & closers)
+                    reach, twos = _reach(adj, runs, v, visited | low, adj[v] | closers, adj[v] & closers)
                 # the way back from v to the root ends in a closer and runs
                 # through vertices with two neighbours in reach + v + root; an
                 # earlier node at this key with as many vertices found it all
                 if (not closers & reach or count + (reach & twos).bit_count() <= best_len
                         or dominance.get(key := (v, reach), 0) >= count):
-                    visited ^= 1 << seq.pop()
                     continue
                 if len(dominance) >= DOMINANCE_CAP:
                     dominance.clear()
                 dominance[key] = count
+                visited |= low
+                seq.append(v)
                 cand = adj[v] & ~visited
                 todo.append(cand)
                 forced.append(None if cand & (cand - 1) else (reach, twos))

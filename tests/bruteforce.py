@@ -2,15 +2,26 @@
 
 These deliberately avoid the package's search and DP code: plain
 exhaustive enumeration, used to compute and freeze expected test values.
-The set-based path and cycle certifiers at the end are the reference the
-package's bitmask certifier is checked against; the piece-stitching cycle
-builders and the dict-based vine check after them are the references for
-the ladder walk and for the once-per-ear vine check, the next function
-is the per-vine verification that built the single-ear cycle by hand, the
-next two are the per-subset oracles that the bit-parallel ones replaced,
-the next two are the reach step one vertex at a time and the cycle
-search as it was before its dominance table, and the last is the chord
-sampler that listed every non-edge.
+The set-based path and cycle certifiers after the enumerations are the
+reference the package's bitmask certifier is checked against; they read
+adjacency from the graph's raw edge set. The piece-stitching cycle
+builders, which cut each A and B segment from the vine's own attachment
+positions, and the vine check with its own walk of the interleaving chain
+after them are the references for the ladder walk and for the
+once-per-ear vine check, the next function is the per-vine verification
+that built the single-ear cycle by hand, the next two are the per-subset
+oracles that the bit-parallel ones replaced, the next two are the reach
+step one vertex at a time and the cycle search as it was before its
+dominance table, and the last is the chord sampler that listed every non-edge.
+
+What the references take from the package: its types (Graph, Path, Cycle,
+Ear, Vine and the verdict records) and errors; the budget accounting of
+solvers (_Budget, _BudgetHit and the limits), which the reference cycle
+search mirrors; and the public step API (decompose, build_q0 / build_qj /
+build_qstar, check_inequality_1 / check_inequality_2), which
+reference_verify_vine_against replays by design, as the per-vine check was
+once written from those steps. No other private name is imported, and
+neither package certifier is: test_properties checks the imports.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from vinebound import (
     Path,
     PathValidationError,
     PreconditionError,
-    SegmentDecomposition,
     Vine,
     VineVerdict,
     build_q0,
@@ -35,11 +45,9 @@ from vinebound import (
     check_inequality_2,
     circumference_bound_squared,
     decompose,
-    validate_path,
 )
 from vinebound.bounds import VineVerification
 from vinebound.errors import InternalInvariantError, SolveBudgetError
-from vinebound.graphs import validate_cycle
 from vinebound.solvers import (
     DEFAULT_LIMITS,
     ORACLE_MAX_VERTICES,
@@ -47,7 +55,6 @@ from vinebound.solvers import (
     _Budget,
     _BudgetHit,
 )
-from vinebound.vines import _chain_failure
 
 
 def brute_connected(g: Graph, removed: int | None = None) -> bool:
@@ -153,6 +160,11 @@ def brute_longest_cycle_witness(g: Graph) -> tuple[int, ...]:
     return min(seq for seq in iter_simple_cycles(g) if len(seq) == best_len)
 
 
+def _adjacent(g: Graph, u: int, v: int) -> bool:
+    """u and v share an edge, looked up in the graph's raw edge set."""
+    return (min(u, v), max(u, v)) in g.edges
+
+
 def reference_validate_path(g: Graph, vs) -> Path:
     """The set-based path certifier the bitmask walk replaced, kept as the
     reference it must agree with: same result, or same error and message."""
@@ -166,7 +178,7 @@ def reference_validate_path(g: Graph, vs) -> Path:
             raise PathValidationError(f"repeated vertex {v}")
         seen.add(v)
     for u, v in zip(vs, vs[1:]):
-        if not g.has_edge(u, v):
+        if not _adjacent(g, u, v):
             raise PathValidationError(f"consecutive vertices {u} and {v} are not adjacent")
     return Path(vs)
 
@@ -183,9 +195,9 @@ def reference_validate_cycle(g: Graph, vs) -> Cycle:
             raise CycleValidationError(f"repeated vertex {v}")
         seen.add(v)
     for u, v in zip(vs, vs[1:]):
-        if not g.has_edge(u, v):
+        if not _adjacent(g, u, v):
             raise CycleValidationError(f"consecutive vertices {u} and {v} are not adjacent")
-    if not g.has_edge(vs[-1], vs[0]):
+    if not _adjacent(g, vs[-1], vs[0]):
         raise CycleValidationError(f"missing closing edge {vs[-1]}-{vs[0]}")
     return Cycle(vs)
 
@@ -215,70 +227,106 @@ def _stitch_cycle(pieces) -> tuple[int, ...]:
     return tuple(walk[:-1])
 
 
-def reference_build_q0(d: SegmentDecomposition) -> tuple[int, ...]:
+def _reference_segments(vine: Vine) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The vertex runs of A_1..A_m and B_1..B_{m-1}, cut straight from the
+    ears' attachment positions on the base path: A_i = y_{i-1}..x_{i+1},
+    reading y_0 as x_1 and x_{m+1} as y_m, and B_i = x_{i+1}..y_i."""
+    base = vine.base.vertices
+    xs = [base.index(ear.x_attach) for ear in vine.ears]
+    ys = [base.index(ear.y_attach) for ear in vine.ears]
+    a_runs = [base[y : x + 1] for y, x in zip([xs[0], *ys], [*xs[1:], ys[-1]])]
+    b_runs = [base[x : y + 1] for x, y in zip(xs[1:], ys)]
+    return a_runs, b_runs
+
+
+def reference_build_q0(vine: Vine) -> tuple[int, ...]:
     """q0 stitched from its pieces: every A segment and every ear."""
-    pieces = [d.a_vertices(i) for i in range(1, d.m + 1)]
-    return _stitch_cycle(pieces + [ear.vertices for ear in d.vine.ears])
+    a_runs, _ = _reference_segments(vine)
+    return _stitch_cycle(a_runs + [ear.vertices for ear in vine.ears])
 
 
-def reference_build_qj(d: SegmentDecomposition, j: int) -> tuple[int, ...]:
+def reference_build_qj(vine: Vine, j: int) -> tuple[int, ...]:
     """q_j stitched from A_i and ear i for i in [j+1, m-j], B_j and B_{m-j}."""
-    m = d.m
-    pieces = [d.a_vertices(i) for i in range(j + 1, m - j + 1)]
-    pieces += [d.vine.ears[i - 1].vertices for i in range(j + 1, m - j + 1)]
-    return _stitch_cycle(pieces + [d.b_vertices(j), d.b_vertices(m - j)])
+    a_runs, b_runs = _reference_segments(vine)
+    m = vine.m
+    pieces = a_runs[j : m - j] + [ear.vertices for ear in vine.ears[j : m - j]]
+    return _stitch_cycle(pieces + [b_runs[j - 1], b_runs[m - j - 1]])
 
 
-def reference_build_qstar(d: SegmentDecomposition) -> tuple[int, ...]:
+def reference_build_qstar(vine: Vine) -> tuple[int, ...]:
     """qstar stitched from B_{m/2}, A_{m/2}, ear m/2 and B_{m/2-1} (none for m = 2)."""
-    h = d.m // 2
-    pieces = [d.b_vertices(h), d.a_vertices(h), d.vine.ears[h - 1].vertices]
+    a_runs, b_runs = _reference_segments(vine)
+    h = vine.m // 2
+    pieces = [b_runs[h - 1], a_runs[h - 1], vine.ears[h - 1].vertices]
     if h >= 2:
-        pieces.append(d.b_vertices(h - 1))
+        pieces.append(b_runs[h - 2])
     return _stitch_cycle(pieces)
 
 
+def _reference_chain_failure(xs: list[int], ys: list[int], last: int) -> str | None:
+    """The first broken link of the interleaving chain, found by one walk
+    along x_1 < x_2 < y_1 <= x_3 < y_2 <= ... <= x_m < y_{m-1} < y_m, after
+    each ear's orientation and the chain's two ends."""
+    m = len(xs)
+    for i in range(1, m + 1):
+        if xs[i - 1] >= ys[i - 1]:
+            return f"ear {i} attachments are not oriented along the path"
+    if xs[0] != 0:
+        return f"x_1 must be the path's first vertex, ear 1 starts at position {xs[0]}"
+    if ys[-1] != last:
+        return f"y_{m} must be the path's last vertex, ear {m} ends at position {ys[-1]}"
+    if m == 1:
+        return None
+    # (name, position) in chain order; y_i <= x_{i+2} is the only weak link
+    walk = [("x_1", xs[0]), ("x_2", xs[1])]
+    for i in range(1, m - 1):
+        walk += [(f"y_{i}", ys[i - 1]), (f"x_{i + 2}", xs[i + 1])]
+    walk += [(f"y_{m - 1}", ys[m - 2]), (f"y_{m}", ys[m - 1])]
+    for (left, p), (right, q) in zip(walk, walk[1:]):
+        weak = left[0] == "y" and right[0] == "x"
+        if not (p <= q if weak else p < q):
+            return f"need {left} {'<=' if weak else '<'} {right}, got positions {p}, {q}"
+    return None
+
+
 def reference_verify_vine(g: Graph, vine: Vine) -> VineVerdict:
-    """The vine check that certified every ear again for each vine and
-    found overlaps with a dict, kept as the reference for its verdicts."""
-    p = vine.base
+    """verify_vine's verdict rebuilt from the reference certifier, its own
+    position table, a pairwise overlap scan and its own walk of the chain:
+    the first failing clause, in the order base, empty, then per ear path,
+    attachment, interior and base edge, then overlap and chain."""
+    base = vine.base.vertices
     try:
-        validate_path(g, p.vertices)
+        reference_validate_path(g, base)
     except PathValidationError as exc:
         return VineVerdict(False, "base", f"base path invalid: {exc}")
-    if vine.m == 0:
+    if not vine.ears:
         return VineVerdict(False, "empty", "a vine needs at least one ear")
-    pos = p.positions
+    at = {v: i for i, v in enumerate(base)}
     for i, ear in enumerate(vine.ears, start=1):
+        vs = ear.vertices
         try:
-            validate_path(g, ear.vertices)
+            reference_validate_path(g, vs)
         except PathValidationError as exc:
             return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
-        if ear.x_attach not in pos or ear.y_attach not in pos:
+        if vs[0] not in at or vs[-1] not in at:
             return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
-        inside = [v for v in ear.interior if v in pos]
+        inside = [v for v in vs[1:-1] if v in at]
         if inside:
             return VineVerdict(
                 False, "interior", f"ear {i} interior vertex {inside[0]} lies on the base path", (i,)
             )
-        if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
-            return VineVerdict(
-                False, "base-edge", f"ear {i} is an edge of the base path itself", (i,)
-            )
-    used: dict[int, int] = {}
-    for i, ear in enumerate(vine.ears, start=1):
-        for v in ear.interior:
-            if v in used:
-                return VineVerdict(
-                    False,
-                    "overlap",
-                    f"ears {used[v]} and {i} share interior vertex {v}",
-                    (used[v], i),
-                )
-            used[v] = i
-    xs = [pos[e.x_attach] for e in vine.ears]
-    ys = [pos[e.y_attach] for e in vine.ears]
-    broken = _chain_failure(xs, ys, len(p.vertices) - 1)
+        if len(vs) == 2 and abs(at[vs[0]] - at[vs[1]]) == 1:
+            return VineVerdict(False, "base-edge", f"ear {i} is an edge of the base path itself", (i,))
+    interiors = [set(ear.vertices[1:-1]) for ear in vine.ears]
+    for j, ear in enumerate(vine.ears, start=1):
+        for v in ear.vertices[1:-1]:
+            earlier = [i for i in range(1, j) if v in interiors[i - 1]]
+            if earlier:
+                i = earlier[0]
+                return VineVerdict(False, "overlap", f"ears {i} and {j} share interior vertex {v}", (i, j))
+    xs = [at[ear.vertices[0]] for ear in vine.ears]
+    ys = [at[ear.vertices[-1]] for ear in vine.ears]
+    broken = _reference_chain_failure(xs, ys, len(base) - 1)
     if broken is not None:
         return VineVerdict(False, "chain", broken)
     return VineVerdict(True)
@@ -525,14 +573,14 @@ def reference_longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> C
                 masks.append(visited)
                 forced.append(None if cand & (cand - 1) else (reach, twos))
     except _BudgetHit as hit:
-        incumbent = validate_cycle(g, best_seq) if best_seq is not None else None
+        incumbent = reference_validate_cycle(g, best_seq) if best_seq is not None else None
         raise SolveBudgetError(
             f"longest_cycle: {hit}; best non-optimal cycle has length {best_len}",
             incumbent=incumbent,
         ) from None
     if best_seq is None:
         raise InternalInvariantError("longest_cycle: no cycle found in a 2-connected graph")
-    return validate_cycle(g, best_seq)
+    return reference_validate_cycle(g, best_seq)
 
 
 def reference_random_two_connected(n: int, extra_ears: int, seed: int) -> tuple[Graph, int]:

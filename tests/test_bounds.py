@@ -59,9 +59,6 @@ def test_decompose_x2(x2):
     d = x2_decomposition(x2)
     assert d.a == (1, 0, 1)
     assert d.b == (2, 2)
-    assert d.a_vertices(1) == (0, 1)
-    assert d.a_vertices(2) == (3,)  # empty segment: y_1 and x_3 coincide
-    assert d.b_vertices(1) == (1, 2, 3)
 
 
 def test_decompose_x1(x1):
@@ -75,8 +72,6 @@ def test_decompose_theta(theta):
     d = decompose(Vine(p, [Ear((2, 1)), Ear((0, 4))]))
     assert d.a == (1, 1)
     assert d.b == (2,)
-    assert d.a_vertices(1) == (2, 0)
-    assert d.b_vertices(1) == (0, 3, 1)
 
 
 def test_decompose_tiling_invariant(x2, x1, theta, k4):
@@ -98,7 +93,6 @@ def test_decompose_single_ear():
         p = validate_path(g, path)
         d = decompose(Vine(p, [Ear(ear)]))
         assert d.a == (p.length,) and d.b == ()
-        assert d.a_vertices(1) == p.vertices
         q0 = build_q0(g, d)
         assert q0.vertices == p.vertices + ear[-2:0:-1]
         assert q0.length == n

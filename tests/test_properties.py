@@ -1,7 +1,9 @@
 """Property suites over seeded random instances."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,13 +460,13 @@ def _assert_constructions_match_reference(g, vine):
     """q0 in the stitched vertex order; q_j and qstar up to rotation and reflection."""
     d = decompose(vine)
     q0 = build_q0(g, d)
-    assert q0.vertices == reference_build_q0(d)
+    assert q0.vertices == reference_build_q0(vine)
     for j in range(1, (d.m - 1) // 2 + 1):
-        qj, ref = build_qj(g, d, j), reference_build_qj(d, j)
+        qj, ref = build_qj(g, d, j), reference_build_qj(vine, j)
         assert canonical_cycle(qj.vertices) == canonical_cycle(ref)
         assert qj.length == len(ref)
     if d.m % 2 == 0:
-        qstar, ref = build_qstar(g, d), reference_build_qstar(d)
+        qstar, ref = build_qstar(g, d), reference_build_qstar(vine)
         assert canonical_cycle(qstar.vertices) == canonical_cycle(ref)
         assert qstar.length == len(ref)
 
@@ -514,7 +516,7 @@ def _with_one_fault(data, g, vine, ears):
         (k, slot, v)
         for k, ear in enumerate(out) for slot in range(1, ear.length) for v in inside_b
         if v not in ear.vertices
-        and g.has_edge(v, ear.vertices[slot - 1]) and g.has_edge(v, ear.vertices[slot + 1])
+        and v in g.neighbors[ear.vertices[slot - 1]] and v in g.neighbors[ear.vertices[slot + 1]]
     ]
     if detours:
         k, slot, v = data.draw(st.sampled_from(detours))
@@ -548,7 +550,7 @@ def _with_one_fault(data, g, vine, ears):
         if slots and pool:
             slot = data.draw(st.sampled_from(slots))
             # prefer a vertex that keeps the ear a path, so later clauses are reached
-            kept = {v for v in pool if all(g.has_edge(v, vs[i]) for i in (slot - 1, slot + 1)
+            kept = {v for v in pool if all(v in g.neighbors[vs[i]] for i in (slot - 1, slot + 1)
                                            if 0 <= i < len(vs))}
             vs[slot] = data.draw(st.sampled_from(sorted(kept or pool)))
             out[k] = Ear(vs)
@@ -640,3 +642,17 @@ def test_vine_verification_reference_cases_reach_every_violation():
         "inequality (2) violated", "q0", "q1", "q2", "qstar", "base-plus-ear",
         "c >= l+1 violated for a single-ear vine", "qstar consequence violated",
     }, kinds
+
+
+def test_references_import_no_private_package_code():
+    """The references mirror the solvers' budget accounting, but import no
+    other private package name, nor the package's path and cycle certifiers."""
+    tree = ast.parse(Path(__file__).with_name("bruteforce.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vinebound")
+        for alias in node.names
+    }
+    assert {name for name in imported if name.startswith("_")} <= {"_Budget", "_BudgetHit"}
+    assert not imported & {"validate_path", "validate_cycle"}

@@ -2,6 +2,7 @@ import pytest
 
 from vinebound import (
     ExtremalSpec,
+    FuzzConfig,
     Graph,
     PreconditionError,
     SolveBudgetError,
@@ -20,6 +21,7 @@ from vinebound import (
     validate_cycle,
     validate_path,
 )
+from vinebound.families import chord_graph, chord_instances
 
 from bruteforce import (
     brute_all_longest_paths,
@@ -275,7 +277,8 @@ def _extremal_grid(slacks=(0, 2)):
     return [extremal_graph(ExtremalSpec(m, slack))[0] for m in range(2, 21) for slack in slacks]
 
 
-def test_dominance_table_cuts_grid_cycle_nodes(monkeypatch):
+def _counted_budgets(monkeypatch) -> list:
+    """The list every solve's _Budget joins from now on, to sum its nodes."""
     budgets = []
 
     class CountingBudget(solvers._Budget):
@@ -284,10 +287,41 @@ def test_dominance_table_cuts_grid_cycle_nodes(monkeypatch):
             budgets.append(self)
 
     monkeypatch.setattr(solvers, "_Budget", CountingBudget)
+    return budgets
+
+
+def test_dominance_table_cuts_grid_cycle_nodes(monkeypatch):
+    budgets = _counted_budgets(monkeypatch)
     for g in _extremal_grid():
         longest_cycle(g)
     # 37,692 nodes without the table
     assert sum(b.nodes for b in budgets) <= 28_000
+
+
+def test_pool_node_totals_are_pinned(monkeypatch):
+    # the exact search size summed over each benchmark pool: fuzz seed 7
+    # (500 instances, n 4..12), the dense pool (seeds 7..12, 10 instances
+    # each, n 18..22, 30..40 chords) and the extremal grid; a prune that
+    # moves changes it, a faster reach step does not
+    budgets = _counted_budgets(monkeypatch)
+    dense = [FuzzConfig(10, 18, 22, seed, extra_min=30, extra_max=40) for seed in range(7, 13)]
+    pools = {
+        "fuzz7": [chord_graph(i)[0] for i in chord_instances(FuzzConfig(500, 4, 12, 7))],
+        "dense": [chord_graph(i)[0] for cfg in dense for i in chord_instances(cfg)],
+        "grid": _extremal_grid(),
+    }
+    totals = {}
+    for name, graphs in pools.items():
+        for solve in (longest_path, longest_cycle):
+            budgets.clear()
+            for g in graphs:
+                solve(g)
+            totals[name, solve.__name__] = sum(b.nodes for b in budgets)
+    assert totals == {
+        ("fuzz7", "longest_path"): 12_124, ("fuzz7", "longest_cycle"): 8_995,
+        ("dense", "longest_path"): 10_015, ("dense", "longest_cycle"): 10_349,
+        ("grid", "longest_path"): 4_684, ("grid", "longest_cycle"): 27_948,
+    }
 
 
 @pytest.mark.parametrize("cap", [1, 2])
