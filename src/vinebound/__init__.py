@@ -61,8 +61,6 @@ from .bounds import (
     build_q0,
     build_qj,
     build_qstar,
-    check_inequality_1,
-    check_inequality_2,
     circumference_bound,
     circumference_bound_squared,
     decompose,

@@ -220,28 +220,6 @@ def _inequality_2(a: tuple[int, ...], b: tuple[int, ...], slack: int, j: int) ->
     return j, lhs, rhs, weak_rhs, lhs <= rhs, lhs <= weak_rhs
 
 
-def _slack(c: int, m: int) -> int:
-    slack = c - m - 2
-    if slack < 0:
-        raise InternalInvariantError(
-            f"negative slack {slack}: circumference {c} below m+2={m + 2}"
-        )
-    return slack
-
-
-def check_inequality_1(d: SegmentDecomposition, c: int) -> Inequality1Verdict:
-    """End-segment inequality against the certified circumference c; needs m >= 2."""
-    if d.m < 2:
-        raise PreconditionError(f"inequality (1) needs at least two ears, got m={d.m}")
-    return Inequality1Verdict(*_inequality_1(d.a, _slack(c, d.m)))
-
-
-def check_inequality_2(d: SegmentDecomposition, c: int, j: int) -> Inequality2Verdict:
-    """Overlap-segment inequality for one j against the circumference c."""
-    _require_j(d.m, j)
-    return Inequality2Verdict(*_inequality_2(d.a, d.b, _slack(c, d.m), j))
-
-
 def circumference_bound_squared(l: int, slack: int, m: int) -> int:
     """Exact integer square of the circumference bound for the given parity."""
     if l < 1:

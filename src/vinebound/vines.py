@@ -86,12 +86,11 @@ class Vine:
 @dataclass(frozen=True)
 class VineVerdict:
     """Pass/fail outcome of verify_vine; on failure names the first
-    violated clause and the offending ear indices (1-based)."""
+    violated clause, and the detail names the offending ears (1-based)."""
 
     ok: bool
     clause: str | None = None
     detail: str = ""
-    ear_indices: tuple[int, ...] = ()
 
 
 class VineEnumeration(NamedTuple):
@@ -189,22 +188,22 @@ def verify_vine(g: Graph, vine: Vine) -> VineVerdict:
         try:
             validate_path(g, ear.vertices)
         except PathValidationError as exc:
-            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
+            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}")
         if ear.x_attach not in pos or ear.y_attach not in pos:
-            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
+            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path")
         for v in ear.interior:
             if v in pos:
                 detail = f"ear {i} interior vertex {v} lies on the base path"
-                return VineVerdict(False, "interior", detail, (i,))
+                return VineVerdict(False, "interior", detail)
         if ear.length == 1 and abs(pos[ear.x_attach] - pos[ear.y_attach]) == 1:
             detail = f"ear {i} is an edge of the base path itself"
-            return VineVerdict(False, "base-edge", detail, (i,))
+            return VineVerdict(False, "base-edge", detail)
     first: dict[int, int] = {}  # interior vertex -> the first ear holding it
     for i, ear in enumerate(vine.ears, start=1):
         for v in ear.interior:
             if v in first:
                 detail = f"ears {first[v]} and {i} share interior vertex {v}"
-                return VineVerdict(False, "overlap", detail, (first[v], i))
+                return VineVerdict(False, "overlap", detail)
             first[v] = i
     xs = [pos[e.x_attach] for e in vine.ears]
     ys = [pos[e.y_attach] for e in vine.ears]

@@ -8,20 +8,21 @@ adjacency from the graph's raw edge set. The piece-stitching cycle
 builders, which cut each A and B segment from the vine's own attachment
 positions, and the vine check with its own walk of the interleaving chain
 after them are the references for the ladder walk and for the
-once-per-ear vine check, the next function is the per-vine verification
-that built the single-ear cycle by hand, the next two are the per-subset
-oracles that the bit-parallel ones replaced, the next two are the reach
-step one vertex at a time and the cycle search as it was before its
-dominance table, and the last is the chord sampler that listed every non-edge.
+once-per-ear vine check. The next function is the per-vine verification
+computed from the vine alone: its own segment lengths, the 1-based sums
+of the inequalities, the bound formula and the stitched ladders. The next
+two are the per-subset oracles that the bit-parallel ones replaced, the
+next two are the reach step one vertex at a time and the cycle search as
+it was before its dominance table, and the last is the chord sampler that
+listed every non-edge.
 
 What the references take from the package: its types (Graph, Path, Cycle,
-Ear, Vine and the verdict records) and errors; the budget accounting of
+Vine and the verdict records) and errors, and the budget accounting of
 solvers (_Budget, _BudgetHit and the limits), which the reference cycle
-search mirrors; and the public step API (decompose, build_q0 / build_qj /
-build_qstar, check_inequality_1 / check_inequality_2), which
-reference_verify_vine_against replays by design, as the per-vine check was
-once written from those steps. No other private name is imported, and
-neither package certifier is: test_properties checks the imports.
+search mirrors. No arithmetic of bounds is imported: not the step API
+(decompose, build_q0 / build_qj / build_qstar) and not
+circumference_bound_squared. Nor is any other private name, or either
+package certifier: test_properties checks the imports.
 """
 
 from __future__ import annotations
@@ -33,18 +34,13 @@ from vinebound import (
     Cycle,
     CycleValidationError,
     Graph,
+    Inequality1Verdict,
+    Inequality2Verdict,
     Path,
     PathValidationError,
     PreconditionError,
     Vine,
     VineVerdict,
-    build_q0,
-    build_qj,
-    build_qstar,
-    check_inequality_1,
-    check_inequality_2,
-    circumference_bound_squared,
-    decompose,
 )
 from vinebound.bounds import VineVerification
 from vinebound.errors import InternalInvariantError, SolveBudgetError
@@ -307,23 +303,23 @@ def reference_verify_vine(g: Graph, vine: Vine) -> VineVerdict:
         try:
             reference_validate_path(g, vs)
         except PathValidationError as exc:
-            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}", (i,))
+            return VineVerdict(False, "ear", f"ear {i} is not a path of the graph: {exc}")
         if vs[0] not in at or vs[-1] not in at:
-            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path", (i,))
+            return VineVerdict(False, "attachment", f"ear {i} attachment off the base path")
         inside = [v for v in vs[1:-1] if v in at]
         if inside:
             return VineVerdict(
-                False, "interior", f"ear {i} interior vertex {inside[0]} lies on the base path", (i,)
+                False, "interior", f"ear {i} interior vertex {inside[0]} lies on the base path"
             )
         if len(vs) == 2 and abs(at[vs[0]] - at[vs[1]]) == 1:
-            return VineVerdict(False, "base-edge", f"ear {i} is an edge of the base path itself", (i,))
+            return VineVerdict(False, "base-edge", f"ear {i} is an edge of the base path itself")
     interiors = [set(ear.vertices[1:-1]) for ear in vine.ears]
     for j, ear in enumerate(vine.ears, start=1):
         for v in ear.vertices[1:-1]:
             earlier = [i for i in range(1, j) if v in interiors[i - 1]]
             if earlier:
                 i = earlier[0]
-                return VineVerdict(False, "overlap", f"ears {i} and {j} share interior vertex {v}", (i, j))
+                return VineVerdict(False, "overlap", f"ears {i} and {j} share interior vertex {v}")
     xs = [at[ear.vertices[0]] for ear in vine.ears]
     ys = [at[ear.vertices[-1]] for ear in vine.ears]
     broken = _reference_chain_failure(xs, ys, len(base) - 1)
@@ -332,11 +328,11 @@ def reference_verify_vine(g: Graph, vine: Vine) -> VineVerdict:
     return VineVerdict(True)
 
 
-def reference_verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine) -> VineVerification:
-    """verify_vine_against as it was when the single-ear cycle was the base
-    path plus the reversed ear interior, built beside the ladder walk and
-    without the attachment and chain checks."""
-    violations: list[str] = []
+def reference_verify_vine_against(g: Graph, l: int, c: int, vine: Vine) -> VineVerification:
+    """verify_vine_against computed from the vine alone: the segment lengths
+    from _reference_segments, the inequalities and the bound written out
+    from their 1-based formulas in the bounds module docstring, and each
+    ladder stitched from its pieces and certified by reference_validate_cycle."""
     m = vine.m
     slack = c - m - 2
     if slack < 0:
@@ -345,65 +341,47 @@ def reference_verify_vine_against(g: Graph, p: Path, l: int, c: int, vine: Vine)
             m, slack, float("nan"), False, False, None, (), 0, (), None,
             (f"c >= m+2 violated: c={c} m={m}",),
         )
-    bound_sq = circumference_bound_squared(l, slack, m)
-    bound = math.sqrt(bound_sq)
-    bound_met = c * c >= bound_sq
-    tight = c * c == bound_sq
-    if not bound_met:
+    violations: list[str] = []
+    bound_sq = 4 * l + (slack + 1) ** 2 - (1 if m % 2 == 0 else 0)
+    if c * c < bound_sq:
         violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
-    if m == 1:
-        ear = vine.ears[0]
-        ring = tuple(p.vertices) + tuple(reversed(ear.interior))
-        try:
-            q0_len = reference_validate_cycle(g, ring).length
-        except CycleValidationError as exc:
-            raise InternalInvariantError(f"base-plus-ear cycle is not a simple cycle: {exc}") from exc
-        if q0_len != p.length + ear.length:
-            raise InternalInvariantError(
-                f"base-plus-ear cycle length {q0_len} does not match the formula value "
-                f"{p.length + ear.length}"
-            )
-        if q0_len > c:
-            violations.append(f"base-plus-ear cycle longer than the circumference: {q0_len} > {c}")
-        if c < l + 1:
-            violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
-        return VineVerification(
-            m, slack, bound, bound_met, tight, None, (), q0_len, (), None, tuple(violations)
-        )
-    d = decompose(vine)
-    ineq1 = check_inequality_1(d, c)
-    if not ineq1.ok:
-        violations.append(f"inequality (1) violated: {ineq1.lhs} > {ineq1.rhs}")
-    ineq2 = tuple(check_inequality_2(d, c, j) for j in range(1, (m - 1) // 2 + 1))
-    for verdict in ineq2:
-        if not verdict.ok:
-            violations.append(
-                f"inequality (2) violated at j={verdict.j}: {verdict.lhs} > {verdict.rhs}"
-            )
-    q0 = build_q0(g, d)
-    if q0.length > c:
-        violations.append(f"q0 cycle longer than the circumference: {q0.length} > {c}")
-    qj_lens = []
-    for j in range(1, (m - 1) // 2 + 1):
-        qj = build_qj(g, d, j)
-        qj_lens.append(qj.length)
-        if qj.length > c:
-            violations.append(f"q{j} cycle longer than the circumference: {qj.length} > {c}")
-    qstar_len: int | None = None
+    a_runs, b_runs = _reference_segments(vine)
+    # 1-based a_1..a_m and b_1..b_{m-1}; b_0 = 0 is the empty segment
+    a = [0] + [len(run) - 1 for run in a_runs]
+    b = [0] + [len(run) - 1 for run in b_runs]
+    ineq1 = None
+    ineq2 = []
+    if m >= 2:
+        lhs, rhs = a[1] + a[m], slack + 2 - sum(a[i] for i in range(2, m))
+        ineq1 = Inequality1Verdict(lhs, rhs, lhs <= rhs)
+        if not ineq1.ok:
+            violations.append(f"inequality (1) violated: {lhs} > {rhs}")
+        for j in range(1, (m - 1) // 2 + 1):
+            lhs, weak = b[j] + b[m - j], slack + 2 * (j + 1)
+            rhs = weak - sum(a[i] for i in range(j + 1, m - j + 1))
+            ineq2.append(Inequality2Verdict(j, lhs, rhs, weak, lhs <= rhs, lhs <= weak))
+            if lhs > rhs:
+                violations.append(f"inequality (2) violated at j={j}: {lhs} > {rhs}")
+    walks = {"q0 cycle" if m > 1 else "base-plus-ear cycle": reference_build_q0(vine)}
+    walks |= {f"q{j} cycle": reference_build_qj(vine, j) for j in range(1, (m - 1) // 2 + 1)}
     if m % 2 == 0:
-        qstar = build_qstar(g, d)
-        qstar_len = qstar.length
-        if qstar.length > c:
-            violations.append(f"qstar cycle longer than the circumference: {qstar.length} > {c}")
-        h = m // 2
-        overlap_sum = d.b[h - 1] + (d.b[h - 2] if h >= 2 else 0)
-        if overlap_sum > slack + m + 1:
-            violations.append(
-                f"qstar consequence violated: b_{h}+b_{h - 1}={overlap_sum} > slack+m+1={slack + m + 1}"
-            )
+        walks["qstar cycle"] = reference_build_qstar(vine)
+    lengths = {label: reference_validate_cycle(g, walk).length for label, walk in walks.items()}
+    violations += [
+        f"{label} longer than the circumference: {length} > {c}"
+        for label, length in lengths.items() if length > c
+    ]
+    if m == 1 and c < l + 1:
+        violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
+    h = m // 2
+    if m % 2 == 0 and b[h] + b[h - 1] > slack + m + 1:
+        violations.append(
+            f"qstar consequence violated: b_{h}+b_{h - 1}={b[h] + b[h - 1]} > slack+m+1={slack + m + 1}"
+        )
+    q0_len, *qj_lens = (lengths[label] for label in walks if label != "qstar cycle")
     return VineVerification(
-        m, slack, bound, bound_met, tight, ineq1, ineq2,
-        q0.length, tuple(qj_lens), qstar_len, tuple(violations),
+        m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq, ineq1, tuple(ineq2),
+        q0_len, tuple(qj_lens), lengths.get("qstar cycle"), tuple(violations),
     )
 
 

@@ -15,8 +15,6 @@ from vinebound import (
     build_q0,
     build_qj,
     build_qstar,
-    check_inequality_1,
-    check_inequality_2,
     circumference_bound,
     circumference_bound_squared,
     decompose,
@@ -202,13 +200,20 @@ def test_q_cycles_revalidate(x2):
 # inequalities
 # ------------------------------------------------------------------
 
+def inequalities(g, vine, c):
+    """The inequality verdicts of one vine against c, read from its
+    verification (l, the base path's length, plays no part in them)."""
+    v = verify_vine_against(g, vine.base.length, c, vine)
+    return v.ineq1, v.ineq2
+
+
 def test_inequality_1_x2(x2):
-    v = check_inequality_1(x2_decomposition(x2), c=5)
+    v, _ = inequalities(x2, x2_decomposition(x2).vine, c=5)
     assert (v.lhs, v.rhs, v.ok) == (2, 2, True)
 
 
 def test_inequality_1_x1(x1):
-    v = check_inequality_1(x1_decomposition(x1), c=4)
+    v, _ = inequalities(x1, x1_decomposition(x1).vine, c=4)
     assert (v.lhs, v.rhs, v.ok) == (2, 2, True)
 
 
@@ -216,38 +221,46 @@ def test_inequality_1_k4_two_ear_vine(k4):
     p = validate_path(k4, [0, 1, 2, 3])
     d = decompose(Vine(p, [Ear((0, 2)), Ear((1, 3))]))
     assert d.a == (1, 1) and d.b == (1,)
-    v = check_inequality_1(d, c=4)
+    v, _ = inequalities(k4, d.vine, c=4)
     assert (v.lhs, v.rhs, v.ok) == (2, 2, True)
 
 
 def test_inequality_1_rejects_single_ear(c5):
-    d = decompose(Vine(validate_path(c5, range(5)), [Ear((0, 4))]))
-    with pytest.raises(PreconditionError, match="m=1"):
-        check_inequality_1(d, c=5)
-
-
-def test_inequality_1_negative_slack_is_internal_error(x2):
-    with pytest.raises(InternalInvariantError):
-        check_inequality_1(x2_decomposition(x2), c=4)  # below m+2=5
+    ineq1, ineq2 = inequalities(c5, Vine(validate_path(c5, range(5)), [Ear((0, 4))]), c=5)
+    assert ineq1 is None and ineq2 == ()
 
 
 def test_inequality_2_x2(x2):
-    v = check_inequality_2(x2_decomposition(x2), c=5, j=1)
+    _, (v,) = inequalities(x2, x2_decomposition(x2).vine, c=5)
     assert (v.j, v.lhs, v.rhs, v.ok) == (1, 4, 4, True)
     assert v.weak_rhs == 4 and v.weak_ok
 
 
 def test_inequality_2_range(x1):
-    with pytest.raises(PreconditionError):
-        check_inequality_2(x1_decomposition(x1), c=4, j=1)
+    _, ineq2 = inequalities(x1, x1_decomposition(x1).vine, c=4)
+    assert ineq2 == ()
 
 
 def test_inequality_2_m5_extremal():
     g, spine, vine = extremal_graph(ExtremalSpec(5, 0))
     d = decompose(vine)
     assert d.a == (1, 0, 0, 0, 1) and d.b == (2, 3, 3, 2)
-    v = check_inequality_2(d, c=7, j=2)
-    assert (v.lhs, v.rhs, v.ok) == (6, 6, True)
+    _, (_, v) = inequalities(g, vine, c=7)
+    assert (v.j, v.lhs, v.rhs, v.ok) == (2, 6, 6, True)
+
+
+def test_inequalities_subtract_the_middle_a_sums():
+    # the spine 0..9 with chords 0-3, 2-6 and 5-9: the middle segment
+    # A_2 = 3..5 is not empty, so both inequalities subtract a_2 = 2
+    g = Graph(10, [(i, i + 1) for i in range(9)] + [(0, 3), (2, 6), (5, 9)])
+    r = analyze(g)
+    assert (r.l, r.c, r.slack) == (9, 10, 5)
+    assert [ear.vertices for ear in r.vine.ears] == [(0, 3), (2, 6), (5, 9)]
+    d = decompose(r.vine)
+    assert d.a == (2, 2, 3) and d.b == (1, 1)
+    assert (r.ineq1.lhs, r.ineq1.rhs, r.ineq1.ok) == (5, 5, True)
+    (v,) = r.ineq2
+    assert (v.j, v.lhs, v.rhs, v.weak_rhs, v.ok) == (1, 2, 7, 9, True)
 
 
 # ------------------------------------------------------------------
@@ -286,6 +299,7 @@ def test_dirac_check():
     assert verdict_pair(dirac_check(2, 3)) == (True, True)
     assert verdict_pair(dirac_check(6, 5)) == (True, True)
     assert verdict_pair(dirac_check(5, 3)) == (False, False)  # 9 <= 10 and 9 < 20
+    assert verdict_pair(dirac_check(8, 4)) == (False, False)  # c^2 = 2l: the bound is strict
     with pytest.raises(PreconditionError):
         dirac_check(0, 3)
 

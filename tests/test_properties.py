@@ -597,7 +597,7 @@ def _verifications_match_reference(g, p, claims, max_vines):
     for vine in enumerate_vines(g, p, max_count=max_vines).vines:
         for l, c in claims:
             got = verify_vine_against(g, l, c, vine)
-            expected = reference_verify_vine_against(g, vine.base, l, c, vine)
+            expected = reference_verify_vine_against(g, l, c, vine)
             assert _verification_fields(got) == _verification_fields(expected), (vine, l, c)
             seen += got.violations
     return seen
@@ -646,7 +646,8 @@ def test_vine_verification_reference_cases_reach_every_violation():
 
 def test_references_import_no_private_package_code():
     """The references mirror the solvers' budget accounting, but import no
-    other private package name, nor the package's path and cycle certifiers."""
+    other private package name, nor the package's path and cycle certifiers,
+    nor the bounds arithmetic the per-vine reference must recompute."""
     tree = ast.parse(Path(__file__).with_name("bruteforce.py").read_text())
     imported = {
         alias.name
@@ -656,3 +657,7 @@ def test_references_import_no_private_package_code():
     }
     assert {name for name in imported if name.startswith("_")} <= {"_Budget", "_BudgetHit"}
     assert not imported & {"validate_path", "validate_cycle"}
+    assert not imported & {
+        "decompose", "build_q0", "build_qj", "build_qstar",
+        "check_inequality_1", "check_inequality_2", "circumference_bound_squared",
+    }
