@@ -19,7 +19,6 @@ from .graphs import (
     Graph,
     Path,
     articulation_points,
-    canonical_cycle,
     is_connected,
     is_two_connected,
     parse_graph,

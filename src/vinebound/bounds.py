@@ -38,6 +38,10 @@ and summing them yields the sharp bound on the circumference:
     c >= sqrt(4l + (y+1)^2 - 1)   for even m,
 
 which implies the classical Dirac bounds c > sqrt(2l) and c >= 2*sqrt(l).
+No check repeats another. For m = 1 the slack is c - 3, so the bound
+c^2 >= 4l + (c-2)^2 holds exactly when c >= l + 1, as q0 shows. For
+even m = 2h, qstar = |L_h| + a_h + b_{h-1} + b_h <= c and |L_h| >= 1 give
+b_h + b_{h-1} <= c - 1: that consequence fails only when qstar > c.
 All verdicts are computed in exact integer arithmetic; the real-valued
 bound is only ever used for display.
 
@@ -317,15 +321,6 @@ def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
         f"{label} longer than the circumference: {length} > {c}"
         for label, length in lengths.items() if length > c
     ]
-    if m == 1 and c < l + 1:
-        violations.append(f"c >= l+1 violated for a single-ear vine: c={c} l={l}")
-    if m % 2 == 0:
-        h = m // 2
-        overlap_sum = b[h - 1] + (b[h - 2] if h >= 2 else 0)
-        if overlap_sum > slack + m + 1:
-            violations.append(
-                f"qstar consequence violated: b_{h}+b_{h - 1}={overlap_sum} > slack+m+1={slack + m + 1}"
-            )
     return slack, bound_sq, ineq1, ineq2, lengths, violations
 
 

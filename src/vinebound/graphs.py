@@ -322,13 +322,3 @@ def validate_cycle(g: Graph, vs: Sequence[int]) -> Cycle:
         raise CycleValidationError(f"cycle needs at least 3 vertices, got {len(vs)}")
     return _certified(g, vs, Cycle, CycleValidationError)
 
-
-def canonical_cycle(vs: Sequence[int]) -> tuple[int, ...]:
-    """Canonical rotation/reflection: start at the smallest vertex, then
-    pick the lexicographically smaller direction."""
-    seq = list(vs)
-    rotations = []
-    for direction in (seq, seq[::-1]):
-        i = direction.index(min(direction))
-        rotations.append(tuple(direction[i:] + direction[:i]))
-    return min(rotations)

@@ -131,7 +131,7 @@ def enumerate_ears(g: Graph, p: Path) -> list[Ear]:
             while todo:
                 for t in todo[-1]:
                     if t in pos:
-                        if t != u and pos[t] > pos[u]:
+                        if pos[t] > pos[u]:
                             record(tuple(trail) + (t,))
                     elif t not in visited:
                         visited.add(t)

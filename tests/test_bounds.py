@@ -152,7 +152,7 @@ def test_q0_theta(theta):
 
 
 def test_qj_x2(x2):
-    from vinebound import canonical_cycle
+    from bruteforce import canonical_cycle
 
     cyc = build_qj(x2, x2_decomposition(x2), 1)
     assert canonical_cycle(cyc.vertices) == (1, 2, 3, 4, 5)

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from vinebound import (
-    cli, parse_graph, random_two_connected, serialize_graph, validate_cycle, validate_path,
+    Graph, bounds, cli, parse_graph, random_two_connected, serialize_graph, validate_cycle,
+    validate_path,
 )
 from vinebound.errors import InternalInvariantError, ResourceLimitError
 from vinebound.cli import main
@@ -286,6 +287,28 @@ def test_failed_invariant_exits_1(tmp_path, capsys, x2, monkeypatch):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("internal invariant failed")
+
+
+def _middle_a_graph():
+    # the graph of test_bounds.test_inequalities_subtract_the_middle_a_sums
+    return Graph(10, [(i, i + 1) for i in range(9)] + [(0, 3), (2, 6), (5, 9)])
+
+
+def test_analyze_met_but_not_tight_bound_prints_ok(tmp_path, capsys):
+    code = main(["analyze", write_graph(tmp_path, _middle_a_graph())])
+    assert code == 0
+    assert capsys.readouterr().out == "l=9 c=10 m=3 y=5 bound=8.485281 OK\n"
+
+
+def test_minimum_vine_with_negative_slack_fails_the_invariant(tmp_path, capsys, monkeypatch):
+    # a circumference of 4, below m + 2 = 5 for the three-ear minimum vine
+    monkeypatch.setattr(bounds, "longest_cycle", lambda g, limits: validate_cycle(g, [0, 1, 2, 3]))
+    code = main(["analyze", write_graph(tmp_path, _middle_a_graph())])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "internal invariant failed (bug or counterexample candidate): minimum vine has "
+        "negative slack: c=4 m=3; contradicts c >= m+2\n"
+    )
 
 
 def test_analyze_time_budget_exit_3(tmp_path, capsys):

@@ -12,7 +12,6 @@ from vinebound import (
     PreconditionError,
     analyze,
     articulation_points,
-    canonical_cycle,
     enumerate_vines,
     find_min_vine,
     is_connected,
@@ -28,7 +27,7 @@ from vinebound import (
 from vinebound import graphs
 from vinebound.cli import main
 
-from bruteforce import brute_two_connected
+from bruteforce import brute_two_connected, canonical_cycle
 from conftest import complete_graph, cycle_graph, path_graph, x1_graph
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from vinebound import (
     build_q0,
     build_qj,
     build_qstar,
-    canonical_cycle,
     circumference_bound_squared,
     decompose,
     enumerate_ears,
@@ -48,8 +48,10 @@ from vinebound.families import ExtremalSpec, extremal_graph
 from vinebound.solvers import _reach, _runs
 
 from bruteforce import (
+    _reference_segments,
     brute_all_longest_paths,
     brute_two_connected,
+    canonical_cycle,
     reference_build_q0,
     reference_build_qj,
     reference_build_qstar,
@@ -592,15 +594,30 @@ def _claims(l, c, shifts):
 
 def _verifications_match_reference(g, p, claims, max_vines):
     """Compare verify_vine_against with the reference on every enumerated
-    vine on p and every claimed (l, c); returns the violations seen."""
-    seen = []
+    vine on p and every claimed (l, c), and check that the faults of the two
+    retired checks still surface: c < l + 1 for one ear as a bound violation,
+    and b_h + b_{h-1} > c - 1 for m = 2h as a qstar longer than c. Returns
+    the violations seen and how often each of those premises held."""
+    seen, premises = [], Counter()
     for vine in enumerate_vines(g, p, max_count=max_vines).vines:
+        m, h = vine.m, vine.m // 2
+        b = [0] + [len(run) - 1 for run in _reference_segments(vine)[1]]
         for l, c in claims:
             got = verify_vine_against(g, l, c, vine)
             expected = reference_verify_vine_against(g, l, c, vine)
             assert _verification_fields(got) == _verification_fields(expected), (vine, l, c)
             seen += got.violations
-    return seen
+            if c < m + 2:
+                continue
+            if m == 1 and c < l + 1:
+                premises["c < l+1"] += 1
+                assert any(v.startswith("bound violated") for v in got.violations), (vine, l, c)
+            if m % 2 == 0 and b[h] + b[h - 1] > c - 1:
+                premises["b_h+b_{h-1} > c-1"] += 1
+                assert any(
+                    v.startswith("qstar cycle longer than the circumference") for v in got.violations
+                ), (vine, l, c)
+    return seen, premises
 
 
 claim_shifts = st.lists(st.tuples(st.integers(-2, 12), st.integers(-12, 1)), min_size=1, max_size=4)
@@ -624,24 +641,28 @@ def test_vine_verification_reference_cases_reach_every_violation():
     which the comparison above meets every violation verify_vine_against
     can write."""
     shifted = [(0, -k) for k in range(1, 9)] + [(8, 0), (8, -2)]
-    seen = []
+    seen, premises = [], Counter()
     for seed in range(12):
         g, _ = random_two_connected(6 + seed % 5, seed % 7, seed)
         whole = longest_path(g)
         claims = _claims(whole.length, longest_cycle(g).length, shifted)
         prefix = validate_path(g, whole.vertices[: 2 + seed % (len(whole.vertices) - 1)])
         for base in (whole, prefix):
-            seen += _verifications_match_reference(g, base, claims, max_vines=20)
+            found, held = _verifications_match_reference(g, base, claims, max_vines=20)
+            seen += found
+            premises += held
     for m in (3, 4, 5, 6):
         g, spine, _ = extremal_graph(ExtremalSpec(m, 2))
         claims = _claims(spine.length, longest_cycle(g).length, shifted)
-        seen += _verifications_match_reference(g, spine, claims, max_vines=20)
+        found, held = _verifications_match_reference(g, spine, claims, max_vines=20)
+        seen += found
+        premises += held
     kinds = {re.sub(r" cycle longer.*| at j=.*|:.*", "", v) for v in seen}
     assert kinds == {
         "c >= m+2 violated", "bound violated", "inequality (1) violated",
         "inequality (2) violated", "q0", "q1", "q2", "qstar", "base-plus-ear",
-        "c >= l+1 violated for a single-ear vine", "qstar consequence violated",
     }, kinds
+    assert set(premises) == {"c < l+1", "b_h+b_{h-1} > c-1"}, premises
 
 
 def test_references_import_no_private_package_code():

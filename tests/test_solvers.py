@@ -8,7 +8,6 @@ from vinebound import (
     SolveBudgetError,
     SolveLimits,
     all_longest_paths,
-    canonical_cycle,
     extremal_graph,
     is_connected,
     is_two_connected,
@@ -29,6 +28,7 @@ from bruteforce import (
     brute_longest_cycle_witness,
     brute_longest_path_length,
     brute_longest_path_witness,
+    canonical_cycle,
 )
 from conftest import complete_graph, cycle_graph, path_graph
 
