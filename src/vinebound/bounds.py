@@ -48,13 +48,16 @@ bound is only ever used for display.
 A ladder's walk depends only on the base path and its ear slice. So one
 pass verifies every vine on one ladder table: each distinct ladder is
 certified once, and every vine's formula lengths are checked against it.
-Vine #0, the report's vine, also gets a VineVerification from its checks.
+The checks of a vine return the fields of its VineVerification, so vine
+#0, the report's vine, takes its verdict straight from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CycleValidationError,
@@ -145,25 +148,21 @@ def _ladder_cycle(g: Graph, vine: Vine, a, b, s: int, t: int, label: str, ladder
     return cycle
 
 
-def _ladder_spans(m: int) -> list[tuple[str, int, int]]:
+@functools.cache
+def _ladder_spans(m: int) -> tuple[tuple[str, int, int], ...]:
     """Label and 0-based ear span of each ladder a vine with m ears certifies:
-    q0, then q_1..q_{(m-1)//2}, then qstar for even m."""
+    q0, then q_1..q_{(m-1)//2}, then qstar for even m; cached per m."""
     spans = [("q0 cycle" if m > 1 else "base-plus-ear cycle", 0, m - 1)]
     spans += [(f"q{j} cycle", j, m - j - 1) for j in range(1, (m - 1) // 2 + 1)]
     if m % 2 == 0:
         spans.append(("qstar cycle", m // 2 - 1, m // 2 - 1))
-    return spans
+    return tuple(spans)
 
 
 def _build(g: Graph, d: SegmentDecomposition, k: int) -> Cycle:
     """The k-th ladder of _ladder_spans, certified on its own."""
     label, s, t = _ladder_spans(d.m)[k]
     return _ladder_cycle(g, d.vine, d.a, d.b, s, t, label, {})
-
-
-def _require_j(m: int, j: int) -> None:
-    if not 1 <= j <= (m - 1) // 2:
-        raise PreconditionError(f"j must lie in [1, {(m - 1) // 2}] for m={m}, got {j}")
 
 
 def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
@@ -174,7 +173,8 @@ def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
 
 def build_qj(g: Graph, d: SegmentDecomposition, j: int) -> Cycle:
     """Cycle through ears j+1..m-j with their A segments plus B_j and B_{m-j}."""
-    _require_j(d.m, j)
+    if not 1 <= j <= (d.m - 1) // 2:
+        raise PreconditionError(f"j must lie in [1, {(d.m - 1) // 2}] for m={d.m}, got {j}")
     return _build(g, d, j)
 
 
@@ -186,8 +186,7 @@ def build_qstar(g: Graph, d: SegmentDecomposition) -> Cycle:
     return _build(g, d, -1)
 
 
-@dataclass(frozen=True)
-class Inequality1Verdict:
+class Inequality1Verdict(NamedTuple):
     """a_1 + a_m <= slack + 2 - sum of the middle a_i."""
 
     lhs: int
@@ -195,8 +194,7 @@ class Inequality1Verdict:
     ok: bool
 
 
-@dataclass(frozen=True)
-class Inequality2Verdict:
+class Inequality2Verdict(NamedTuple):
     """b_j + b_{m-j} <= slack + 2(j+1) - sum(a_i, j+1 <= i <= m-j); the
     weak form drops the a-sum from the right side."""
 
@@ -206,22 +204,6 @@ class Inequality2Verdict:
     weak_rhs: int
     ok: bool
     weak_ok: bool
-
-
-def _inequality_1(a: tuple[int, ...], slack: int) -> tuple[int, int, bool]:
-    """The fields of Inequality1Verdict."""
-    lhs = a[0] + a[-1]
-    rhs = slack + 2 - sum(a[1:-1])
-    return lhs, rhs, lhs <= rhs
-
-
-def _inequality_2(a: tuple[int, ...], b: tuple[int, ...], slack: int, j: int) -> tuple:
-    """The fields of Inequality2Verdict."""
-    m = len(a)
-    lhs = b[j - 1] + b[m - j - 1]
-    weak_rhs = slack + 2 * (j + 1)
-    rhs = weak_rhs - sum(a[j : m - j])
-    return j, lhs, rhs, weak_rhs, lhs <= rhs, lhs <= weak_rhs
 
 
 def circumference_bound_squared(l: int, slack: int, m: int) -> int:
@@ -243,8 +225,7 @@ def circumference_bound(l: int, slack: int, m: int) -> float:
     return math.sqrt(circumference_bound_squared(l, slack, m))
 
 
-@dataclass(frozen=True)
-class DiracVerdict:
+class DiracVerdict(NamedTuple):
     """Classical corollaries, checked as c^2 > 2l and c^2 >= 4l exactly."""
 
     theorem_a: bool
@@ -280,15 +261,16 @@ class VineVerification:
 
 
 def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
-    """Every check of verify_vine_against as plain values: the slack, the
-    squared bound, the fields of the inequality verdicts, the ladder lengths
-    by label and the violations. When c < m + 2 only that check runs, and
-    the squared bound is None. ladders is the table _ladder_cycle fills."""
+    """Every check of verify_vine_against, returned as the fields of its
+    VineVerification in field order, the violations last. When c < m + 2
+    only that check runs, and the bound is NaN. ladders is the table
+    _ladder_cycle fills."""
     m = len(vine.ears)
     slack = c - m - 2
     if slack < 0:
         # c >= m + 2 fails: everything downstream is meaningless
-        return slack, None, None, [], {}, [f"c >= m+2 violated: c={c} m={m}"]
+        violation = f"c >= m+2 violated: c={c} m={m}"
+        return m, slack, math.nan, False, False, None, (), 0, (), None, (violation,)
     violations: list[str] = []
     bound_sq = circumference_bound_squared(l, slack, m)
     if c * c < bound_sq:
@@ -305,23 +287,26 @@ def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
             violations.append(f"ear {i} interior vertex {on_path[0]} lies on the base path")
     ineq1, ineq2 = None, []
     if m >= 2:
-        ineq1 = _inequality_1(a, slack)
-        if not ineq1[2]:
-            violations.append(f"inequality (1) violated: {ineq1[0]} > {ineq1[1]}")
-        ineq2 = [_inequality_2(a, b, slack, j) for j in range(1, (m - 1) // 2 + 1)]
-        violations += [
-            f"inequality (2) violated at j={j}: {lhs} > {rhs}"
-            for j, lhs, rhs, _, ok, _ in ineq2 if not ok
-        ]
-    lengths = {
-        label: _ladder_cycle(g, vine, a, b, s, t, label, ladders).length
-        for label, s, t in _ladder_spans(m)
-    }
+        lhs, rhs = a[0] + a[-1], slack + 2 - sum(a[1:-1])
+        ineq1 = Inequality1Verdict(lhs, rhs, lhs <= rhs)
+        if not ineq1.ok:
+            violations.append(f"inequality (1) violated: {lhs} > {rhs}")
+        for j in range(1, (m - 1) // 2 + 1):
+            lhs, weak_rhs = b[j - 1] + b[m - j - 1], slack + 2 * (j + 1)
+            rhs = weak_rhs - sum(a[j : m - j])
+            ineq2.append(Inequality2Verdict(j, lhs, rhs, weak_rhs, lhs <= rhs, lhs <= weak_rhs))
+            if lhs > rhs:
+                violations.append(f"inequality (2) violated at j={j}: {lhs} > {rhs}")
+    spans = _ladder_spans(m)
+    lens = [_ladder_cycle(g, vine, a, b, s, t, label, ladders).length for label, s, t in spans]
     violations += [
         f"{label} longer than the circumference: {length} > {c}"
-        for label, length in lengths.items() if length > c
+        for (label, _, _), length in zip(spans, lens) if length > c
     ]
-    return slack, bound_sq, ineq1, ineq2, lengths, violations
+    return (
+        m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq, ineq1, tuple(ineq2),
+        lens[0], tuple(lens[1 : (m + 1) // 2]), None if m % 2 else lens[-1], tuple(violations),
+    )
 
 
 def verify_vine_against(g: Graph, l: int, c: int, vine: Vine) -> VineVerification:
@@ -394,25 +379,12 @@ def _vine_pass(
     g: Graph, l: int, c: int, vines: tuple[Vine, ...]
 ) -> tuple[VineVerification, list[str]]:
     """One pass verifies every vine, vine #0 included, on one ladder table.
-    Returns the verdict of vine #0, the report's vine, and every vine's
-    violation lines by index."""
+    Each vine's checks return its verdict's fields; returns the verdict of
+    vine #0, the report's vine, and every vine's violation lines by index."""
     ladders: dict = {}
     checks = [_vine_checks(g, l, c, vine, ladders) for vine in vines]
-    slack, bound_sq, ineq1, ineq2, lengths, violations = checks[0]
-    if bound_sq is None:
-        verdict = VineVerification(
-            vines[0].m, slack, float("nan"), False, False, None, (), 0, (), None, tuple(violations)
-        )
-    else:
-        lens = list(lengths.values())
-        verdict = VineVerification(
-            vines[0].m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq,
-            Inequality1Verdict(*ineq1) if ineq1 else None, tuple(Inequality2Verdict(*v) for v in ineq2),
-            lens[0], tuple(lens[1 : 1 + len(ineq2)]), lengths.get("qstar cycle"), tuple(violations),
-        )
-    return verdict, [
-        f"vine #{idx} (m={vine.m}): {v}"
-        for idx, (vine, check) in enumerate(zip(vines, checks)) for v in check[-1]
+    return VineVerification(*checks[0]), [
+        f"vine #{idx} (m={check[0]}): {v}" for idx, check in enumerate(checks) for v in check[-1]
     ]
 
 

@@ -140,9 +140,9 @@ _REACHED = ("l", "c", "m", "slack", "vines_checked", "oracle_l", "oracle_c")
 def analyze_document(report: BoundReport, source: str, command: dict) -> dict:
     """The pinned per-instance report schema."""
     results = {key: getattr(report, key) for key in _RESULT_KEYS}
-    results["ineq1"] = None if report.ineq1 is None else dict(vars(report.ineq1))
-    results["ineq2"] = [dict(vars(v)) for v in report.ineq2]
-    results["dirac"] = dict(vars(report.dirac))
+    results["ineq1"] = None if report.ineq1 is None else report.ineq1._asdict()
+    results["ineq2"] = [v._asdict() for v in report.ineq2]
+    results["dirac"] = report.dirac._asdict()
     if report.qstar_len is not None:
         results["qstar_len"] = report.qstar_len
     return {

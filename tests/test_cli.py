@@ -539,6 +539,25 @@ def _count_calls(monkeypatch, *targets):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def test_analyze_verbose_dump_of_an_even_vine(capsys, monkeypatch):
+    """The whole --verbose output for x4, an even-m tight graph: the dump
+    reads inequality (1), inequality (2) at j=1, q0, q_1 and qstar and both
+    Dirac verdicts from the report."""
+    monkeypatch.chdir(GOLDEN)
+    assert main(["analyze", "x4.txt", "--verbose"]) == 0
+    assert capsys.readouterr().out == (
+        "l=14 c=8 m=4 y=2 bound=8.000000 TIGHT\n"
+        "n=15 edges=18 parity=even\n"
+        "path: 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14\n"
+        "cycle: 0 1 2 9 8 7 6 5\n"
+        "vine: 0-5 2-9 5-12 9-14\n"
+        "ineq1: 4 <= 4 -> True\n"
+        "ineq2[j=1]: 6 <= 6 -> True (weak 6 <= 6)\n"
+        "q0=8 qj=[8] qstar=8\n"
+        "dirac: theorem_a=True conjecture_a=True\n"
+    )
+
+
 def test_each_checked_graph_runs_one_vine_pass(capsys, monkeypatch):
     """One ear enumeration per fuzz instance and per analyze --all-vines run,
     one check of every enumerated vine, and one full verdict per graph."""
