@@ -45,9 +45,13 @@ b_h + b_{h-1} <= c - 1: that consequence fails only when qstar > c.
 All verdicts are computed in exact integer arithmetic; the real-valued
 bound is only ever used for display.
 
-A ladder's walk depends only on the base path and its ear slice. So one
-pass verifies every vine on one ladder table: each distinct ladder is
-certified once, and every vine's formula lengths are checked against it.
+A ladder's walk depends only on the base path and its ear slice, an
+ear's attachment positions, length and first interior vertex on the path
+only on the path and the ear, and the slack and the bound only on l, c
+and m. So one pass verifies every vine on one base path with three
+tables: each distinct ladder is certified once, each distinct ear's facts
+and each ear count's bound checks are computed once, and every vine's
+chain, segments, inequalities and formula lengths are checked on its own.
 The checks of a vine return the fields of its VineVerification, so vine
 #0, the report's vine, takes its verdict straight from them.
 """
@@ -57,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (
@@ -66,7 +71,7 @@ from .errors import (
 )
 from .graphs import Graph, Path, Cycle, require_two_connected, validate_cycle
 from .solvers import SolveLimits, DEFAULT_LIMITS, all_longest_paths, longest_cycle, longest_path
-from .vines import Vine, _chain_failure, enumerate_vines, find_min_vine
+from .vines import Ear, Vine, _chain_failure, enumerate_vines, find_min_vine
 
 
 @dataclass(frozen=True)
@@ -87,25 +92,34 @@ def decompose(vine: Vine) -> SegmentDecomposition:
     """Cut the base path into the A/B segments induced by the vine. The
     interleaving chain, checked first, makes them tile the path with the
     lengths the module docstring gives."""
-    return SegmentDecomposition(vine, *_segments(vine))
-
-
-def _segments(vine: Vine) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The A and B segment lengths of decompose."""
-    if not vine.ears:
-        raise PreconditionError("segment decomposition needs a vine with at least one ear")
     pos = vine.base.positions
+    facts = [_ear_facts(pos, ear) for ear in vine.ears]
+    xs, ys = [f[0] for f in facts], [f[1] for f in facts]
+    return SegmentDecomposition(vine, *_segments(xs, ys, vine.base.length))
+
+
+def _ear_facts(pos: dict[int, int], ear: Ear) -> tuple[int, int, int, int | None]:
+    """Ear's attachment positions on the path that pos indexes, its length,
+    and its first interior vertex on that path, or None."""
+    vs = ear.vertices
     try:
-        xs = [pos[e.x_attach] for e in vine.ears]
-        ys = [pos[e.y_attach] for e in vine.ears]
+        x, y = pos[vs[0]], pos[vs[-1]]
     except KeyError:
         raise PreconditionError("vine attachment off the base path") from None
-    broken = _chain_failure(xs, ys, len(vine.base.vertices) - 1)
+    return x, y, len(vs) - 1, next((v for v in vs[1:-1] if v in pos), None)
+
+
+def _segments(xs, ys, last_pos: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The A and B segment lengths of the vine whose ears attach at positions
+    xs and ys of a path of length last_pos."""
+    if not xs:
+        raise PreconditionError("segment decomposition needs a vine with at least one ear")
+    broken = _chain_failure(xs, ys, last_pos)
     if broken is not None:
         raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
     # A_i = y_{i-1}..x_{i+1} with y_0 = x_1 and x_{m+1} = y_m; B_i = x_{i+1}..y_i
-    a = tuple(x - y for y, x in zip([xs[0], *ys], [*xs[1:], ys[-1]]))
-    b = tuple(y - x for x, y in zip(xs[1:], ys))
+    a = tuple(map(sub, [*xs[1:], ys[-1]], [xs[0], *ys]))
+    b = tuple(map(sub, ys, xs[1:]))
     return a, b
 
 
@@ -127,13 +141,16 @@ def _ladder(vine: Vine, s: int, t: int) -> list[int]:
     return walk
 
 
-def _ladder_cycle(g: Graph, vine: Vine, a, b, s: int, t: int, label: str, ladders: dict) -> Cycle:
+def _ladder_cycle(
+    g: Graph, vine: Vine, lengths, a, b, s: int, t: int, label: str, ladders: dict
+) -> Cycle:
     """The ladder over the 0-based ears s..t, certified at its length by the
-    module docstring's identity (where the ears are 1-based). ladders maps an
-    ear slice to its certified ladder: a slice found there is not walked
-    again, but its length is still checked against this vine's formula."""
+    module docstring's identity (where the ears are 1-based), from the ear
+    lengths and the segment lengths. ladders maps an ear slice to its
+    certified ladder: a slice found there is not walked again, but its
+    length is still checked against this vine's formula."""
     ears = vine.ears[s : t + 1]
-    expected = sum(ear.length for ear in ears) + sum(a[s : t + 1])
+    expected = sum(lengths[s : t + 1]) + sum(a[s : t + 1])
     expected += (b[s - 1] if s else 0) + (b[t] if t < len(b) else 0)
     cycle = ladders.get(ears)
     if cycle is None:
@@ -162,7 +179,8 @@ def _ladder_spans(m: int) -> tuple[tuple[str, int, int], ...]:
 def _build(g: Graph, d: SegmentDecomposition, k: int) -> Cycle:
     """The k-th ladder of _ladder_spans, certified on its own."""
     label, s, t = _ladder_spans(d.m)[k]
-    return _ladder_cycle(g, d.vine, d.a, d.b, s, t, label, {})
+    lengths = [ear.length for ear in d.vine.ears]
+    return _ladder_cycle(g, d.vine, lengths, d.a, d.b, s, t, label, {})
 
 
 def build_q0(g: Graph, d: SegmentDecomposition) -> Cycle:
@@ -260,31 +278,49 @@ class VineVerification:
         return not self.violations
 
 
-def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
-    """Every check of verify_vine_against, returned as the fields of its
-    VineVerification in field order, the violations last. When c < m + 2
-    only that check runs, and the bound is NaN. ladders is the table
-    _ladder_cycle fills."""
-    m = len(vine.ears)
+def _count_checks(l: int, c: int, m: int) -> tuple[int, float, bool, bool, str | None]:
+    """The checks of a vine that depend on its ear count m alone: the slack,
+    the bound, bound_met, tight, and the line of c >= m + 2 or of the bound
+    when it fails. When c < m + 2 the bound is NaN and goes unchecked."""
     slack = c - m - 2
     if slack < 0:
-        # c >= m + 2 fails: everything downstream is meaningless
-        violation = f"c >= m+2 violated: c={c} m={m}"
-        return m, slack, math.nan, False, False, None, (), 0, (), None, (violation,)
-    violations: list[str] = []
+        return slack, math.nan, False, False, f"c >= m+2 violated: c={c} m={m}"
     bound_sq = circumference_bound_squared(l, slack, m)
+    line = None
     if c * c < bound_sq:
-        violations.append(f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})")
-    a, b = _segments(vine)
+        line = f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})"
+    return slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq, line
+
+
+def _vine_checks(
+    g: Graph, l: int, c: int, vine: Vine, ladders: dict, ears: dict, counts: dict
+) -> tuple:
+    """Every check of verify_vine_against, returned as the fields of its
+    VineVerification in field order, the violations last. When c < m + 2
+    only that check runs. The three tables belong to one pass over vines
+    on one base path and are filled here: ladders is _ladder_cycle's, ears
+    maps an ear to its _ear_facts and counts an ear count to its
+    _count_checks."""
+    m = len(vine.ears)
+    fixed = counts.get(m)
+    if fixed is None:
+        counts[m] = fixed = _count_checks(l, c, m)
+    slack, bound, bound_met, tight, line = fixed
+    if slack < 0:
+        # c >= m + 2 fails: everything downstream is meaningless
+        return m, slack, bound, bound_met, tight, None, (), 0, (), None, (line,)
+    violations = [] if line is None else [line]
+    pos = vine.base.positions
+    facts = [ears.get(ear) or ears.setdefault(ear, _ear_facts(pos, ear)) for ear in vine.ears]
+    xs, ys, lengths, inside = zip(*facts)
+    a, b = _segments(xs, ys, vine.base.length)
     # the other vine clauses hold already: q0's certification covers the ear
     # edges and the disjoint interiors, _segments the attachments, and the
     # chain's strict inequalities rule out an edge of the base path as an
     # ear. Only an ear interior vertex strictly inside a B segment escapes.
-    pos = vine.base.positions
-    for i, ear in enumerate(vine.ears, start=1):
-        on_path = [v for v in ear.interior if v in pos]
-        if on_path:
-            violations.append(f"ear {i} interior vertex {on_path[0]} lies on the base path")
+    for i, v in enumerate(inside, start=1):
+        if v is not None:
+            violations.append(f"ear {i} interior vertex {v} lies on the base path")
     ineq1, ineq2 = None, []
     if m >= 2:
         lhs, rhs = a[0] + a[-1], slack + 2 - sum(a[1:-1])
@@ -298,13 +334,16 @@ def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict) -> tuple:
             if lhs > rhs:
                 violations.append(f"inequality (2) violated at j={j}: {lhs} > {rhs}")
     spans = _ladder_spans(m)
-    lens = [_ladder_cycle(g, vine, a, b, s, t, label, ladders).length for label, s, t in spans]
+    lens = [
+        _ladder_cycle(g, vine, lengths, a, b, s, t, label, ladders).length
+        for label, s, t in spans
+    ]
     violations += [
         f"{label} longer than the circumference: {length} > {c}"
         for (label, _, _), length in zip(spans, lens) if length > c
     ]
     return (
-        m, slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq, ineq1, tuple(ineq2),
+        m, slack, bound, bound_met, tight, ineq1, tuple(ineq2),
         lens[0], tuple(lens[1 : (m + 1) // 2]), None if m % 2 else lens[-1], tuple(violations),
     )
 
@@ -378,11 +417,16 @@ def analyze_all_vines(
 def _vine_pass(
     g: Graph, l: int, c: int, vines: tuple[Vine, ...]
 ) -> tuple[VineVerification, list[str]]:
-    """One pass verifies every vine, vine #0 included, on one ladder table.
-    Each vine's checks return its verdict's fields; returns the verdict of
-    vine #0, the report's vine, and every vine's violation lines by index."""
+    """One pass verifies every vine, vine #0 included, on one base path
+    and three tables: certified ladders by ear slice, each ear's attachment
+    positions, length and first interior vertex on the path, and each ear
+    count's slack, bound, bound_met, tight and failing bound line. Returns
+    the verdict of vine #0, the report's vine, and every vine's violation
+    lines by index."""
     ladders: dict = {}
-    checks = [_vine_checks(g, l, c, vine, ladders) for vine in vines]
+    ears: dict = {}
+    counts: dict = {}
+    checks = [_vine_checks(g, l, c, vine, ladders, ears, counts) for vine in vines]
     return VineVerification(*checks[0]), [
         f"vine #{idx} (m={check[0]}): {v}" for idx, check in enumerate(checks) for v in check[-1]
     ]
@@ -406,7 +450,7 @@ def verify_all_longest_paths(
     idx = -1
     for idx, q in enumerate(all_longest_paths(g, l, limits)):
         if q != p:
-            lines = _vine_checks(g, l, c, find_min_vine(g, q), {})[-1]
+            lines = _vine_checks(g, l, c, find_min_vine(g, q), {}, {}, {})[-1]
             violations += [f"longest path #{idx}: {v}" for v in lines]
     if idx < 0:
         raise InternalInvariantError(f"no path has length l={l}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -283,6 +282,9 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     # the pool starts all its workers at once, so no more than there are instances
     workers = min(cfg.jobs, cfg.count)
     if workers > 1:
+        # imported here, so a run with one job loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Pool.map's default chunk rule: about four chunks per worker
             records = tuple(pool.map(run, instances, chunksize=-(-cfg.count // (4 * workers))))

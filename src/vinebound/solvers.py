@@ -151,22 +151,24 @@ def _runs(adj: tuple[int, ...]) -> tuple[int, list]:
 
 
 def _reach(adj: tuple[int, ...], runs: tuple[int, list], v: int, blocked: int,
-           ones: int, twos: int) -> tuple[int, int]:
+           seed_ones: int, seed_twos: int) -> tuple[int, int]:
     """Bitmask of the vertices reachable from v without entering blocked
     ones, and the mask of vertices with two neighbours in H.
 
     H is the reach plus the search vertices outside it that the caller
-    seeded ones / twos with: the vertices with at least one / two
-    neighbours among those (v, and the root of a cycle search). runs is
+    seeded seed_ones / seed_twos with: the vertices with at least one / two
+    neighbours among those (v, and the root of a cycle search). ones and
+    twos count the neighbours in the reach alone, and the seeds join them
+    once, at the return. A vertex of ones joins the reach at the next level
+    unless it is blocked, so the next frontier is ones less both. runs is
     _runs(adj): a run with no blocked vertex joins the reach whole, its
     neighbour counts added at once; every other vertex joins alone.
     """
     chains, table = runs
-    reach = 0
+    reach = ones = twos = 0
     frontier = adj[v] & ~blocked
     while frontier:
         reach |= frontier
-        nxt = 0
         hit = frontier & chains
         while hit:
             run, nbrs, two = table[(hit & -hit).bit_length() - 1]
@@ -176,16 +178,14 @@ def _reach(adj: tuple[int, ...], runs: tuple[int, list], v: int, blocked: int,
                 reach |= run
                 twos |= ones & nbrs | two
                 ones |= nbrs
-                nxt |= nbrs
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             a = adj[low.bit_length() - 1]
             twos |= ones & a
             ones |= a
-            nxt |= a
-        frontier = nxt & ~blocked & ~reach
-    return reach, twos
+        frontier = ones & ~blocked & ~reach
+    return reach, twos | ones & seed_ones | seed_twos
 
 
 def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:

@@ -504,6 +504,25 @@ def test_verify_all_vines_reports_an_ear_through_the_base_path_in_each_vine(monk
     ])
 
 
+def test_one_faulty_ear_at_two_indices_fails_both_vines():
+    """The pass keeps one entry per distinct ear; an ear through the base
+    path that is ear 2 of one vine and ear 3 of the next fails each at
+    its own index."""
+    from vinebound import Graph, bounds
+
+    base = non_vine_graph()
+    g = Graph(base.n, [*base.edges, (0, 2), (1, 6)])
+    assert (longest_path(g).length, longest_cycle(g).length) == (10, 11)
+    bad = Ear((3, 9, 4, 10, 8))
+    p = validate_path(g, range(9))
+    x = Vine(p, [Ear((0, 5)), bad])
+    y = Vine(p, [Ear((0, 2)), Ear((1, 6)), bad])
+    assert bounds._vine_pass(g, 10, 11, (x, y))[1] == [
+        "vine #0 (m=2): ear 2 interior vertex 4 lies on the base path",
+        "vine #1 (m=3): ear 3 interior vertex 4 lies on the base path",
+    ]
+
+
 def test_a_ladder_table_hit_still_checks_the_formula_length():
     """A vine whose ladder is already in the pass's table is not walked
     again, but a table length that disagrees with its formula still raises,
@@ -519,14 +538,14 @@ def test_a_ladder_table_hit_still_checks_the_formula_length():
         hits = [label for label, s, t in spans if vine.ears[s : t + 1] in ladders]
         if hits:
             break
-        bounds._vine_checks(g, l, c, vine, ladders)
+        bounds._vine_checks(g, l, c, vine, ladders, {}, {})
     else:
         pytest.fail("no two vines of K5 share a ladder")
-    assert bounds._vine_checks(g, l, c, vine, dict(ladders))[-1] == ()
+    assert bounds._vine_checks(g, l, c, vine, dict(ladders), {}, {})[-1] == ()
     longer = {key: Cycle(range(cycle.length + 1)) for key, cycle in ladders.items()}
     with pytest.raises(InternalInvariantError,
                        match=rf"^{hits[0]} length \d+ does not match the formula value \d+$"):
-        bounds._vine_checks(g, l, c, vine, longer)
+        bounds._vine_checks(g, l, c, vine, longer, {}, {})
 
 
 @pytest.mark.parametrize("broken", [0, 1])

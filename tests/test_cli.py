@@ -453,6 +453,20 @@ def test_fuzz_jobs_flag_same_report(capsys):
     assert seq == par
 
 
+def test_cold_start_loads_no_process_pool():
+    """A fresh interpreter that imports the CLI has loaded neither
+    concurrent.futures nor multiprocessing; only --jobs > 1 needs them."""
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, vinebound.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={"PYTHONPATH": src})
+    assert done.stdout == "[]\n"
+
+
 def test_fuzz_vine_cap_past_islice_stop(capsys):
     args = ["fuzz", "--count", "3", "--nmin", "4", "--nmax", "8", "--seed", "2"]
     assert main(args + ["--vine-cap", str(2**63)]) == 0

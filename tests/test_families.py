@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 
 import pytest
@@ -256,7 +257,7 @@ def test_fuzz_pool_starts_no_more_workers_than_instances(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     cfg = FuzzConfig(count=3, n_min=4, n_max=6, seed=13, jobs=64)
     rep = fuzz_campaign(cfg)
     assert started == [3]
@@ -285,7 +286,7 @@ def test_fuzz_pool_chunks_spread_over_every_worker(monkeypatch, count, chunksize
             given.append(chunksize)
             return (families.InstanceRecord(i, {}, (), None) for i, _ in items)
 
-    monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     rep = fuzz_campaign(FuzzConfig(count=count, n_min=4, n_max=6, seed=13, jobs=2))
     assert given == [chunksize]
     assert [r.index for r in rep.records] == list(range(count))
