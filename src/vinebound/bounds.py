@@ -45,20 +45,18 @@ b_h + b_{h-1} <= c - 1: that consequence fails only when qstar > c.
 All verdicts are computed in exact integer arithmetic; the real-valued
 bound is only ever used for display.
 
-A ladder's walk depends only on the base path and its ear slice, an
-ear's attachment positions, length and first interior vertex on the path
-only on the path and the ear, and the slack and the bound only on l, c
-and m. So one pass verifies every vine on one base path with three
-tables: each distinct ladder is certified once, each distinct ear's facts
-and each ear count's bound checks are computed once, and every vine's
-chain, segments, inequalities and formula lengths are checked on its own.
+A ladder's walk depends only on the base path and its ear slice, and the
+slack, the bound and the ladder spans only on l, c and m. So one pass
+verifies every vine on one base path with two tables: each distinct
+ladder is certified once, each ear count's checks are computed once, and
+every vine's ear interiors, chain, segments, inequalities and formula
+lengths are checked on its own.
 The checks of a vine return the fields of its VineVerification, so vine
 #0, the report's vine, takes its verdict straight from them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import sub
@@ -71,7 +69,7 @@ from .errors import (
 )
 from .graphs import Graph, Path, Cycle, require_two_connected, validate_cycle
 from .solvers import SolveLimits, DEFAULT_LIMITS, all_longest_paths, longest_cycle, longest_path
-from .vines import Ear, Vine, _chain_failure, enumerate_vines, find_min_vine
+from .vines import Vine, _chain_failure, enumerate_vines, find_min_vine
 
 
 @dataclass(frozen=True)
@@ -92,29 +90,21 @@ def decompose(vine: Vine) -> SegmentDecomposition:
     """Cut the base path into the A/B segments induced by the vine. The
     interleaving chain, checked first, makes them tile the path with the
     lengths the module docstring gives."""
+    return SegmentDecomposition(vine, *_segments(vine))
+
+
+def _segments(vine: Vine) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The A and B segment lengths of decompose, from the ears' attachment
+    positions on the base path."""
+    if not vine.ears:
+        raise PreconditionError("segment decomposition needs a vine with at least one ear")
     pos = vine.base.positions
-    facts = [_ear_facts(pos, ear) for ear in vine.ears]
-    xs, ys = [f[0] for f in facts], [f[1] for f in facts]
-    return SegmentDecomposition(vine, *_segments(xs, ys, vine.base.length))
-
-
-def _ear_facts(pos: dict[int, int], ear: Ear) -> tuple[int, int, int, int | None]:
-    """Ear's attachment positions on the path that pos indexes, its length,
-    and its first interior vertex on that path, or None."""
-    vs = ear.vertices
     try:
-        x, y = pos[vs[0]], pos[vs[-1]]
+        xs = [pos[ear.vertices[0]] for ear in vine.ears]
+        ys = [pos[ear.vertices[-1]] for ear in vine.ears]
     except KeyError:
         raise PreconditionError("vine attachment off the base path") from None
-    return x, y, len(vs) - 1, next((v for v in vs[1:-1] if v in pos), None)
-
-
-def _segments(xs, ys, last_pos: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The A and B segment lengths of the vine whose ears attach at positions
-    xs and ys of a path of length last_pos."""
-    if not xs:
-        raise PreconditionError("segment decomposition needs a vine with at least one ear")
-    broken = _chain_failure(xs, ys, last_pos)
+    broken = _chain_failure(xs, ys, vine.base.length)
     if broken is not None:
         raise PreconditionError(f"vine does not satisfy the interleaving chain: {broken}")
     # A_i = y_{i-1}..x_{i+1} with y_0 = x_1 and x_{m+1} = y_m; B_i = x_{i+1}..y_i
@@ -165,10 +155,9 @@ def _ladder_cycle(
     return cycle
 
 
-@functools.cache
 def _ladder_spans(m: int) -> tuple[tuple[str, int, int], ...]:
     """Label and 0-based ear span of each ladder a vine with m ears certifies:
-    q0, then q_1..q_{(m-1)//2}, then qstar for even m; cached per m."""
+    q0, then q_1..q_{(m-1)//2}, then qstar for even m."""
     spans = [("q0 cycle" if m > 1 else "base-plus-ear cycle", 0, m - 1)]
     spans += [(f"q{j} cycle", j, m - j - 1) for j in range(1, (m - 1) // 2 + 1)]
     if m % 2 == 0:
@@ -278,48 +267,49 @@ class VineVerification:
         return not self.violations
 
 
-def _count_checks(l: int, c: int, m: int) -> tuple[int, float, bool, bool, str | None]:
+def _count_checks(l: int, c: int, m: int) -> tuple:
     """The checks of a vine that depend on its ear count m alone: the slack,
-    the bound, bound_met, tight, and the line of c >= m + 2 or of the bound
-    when it fails. When c < m + 2 the bound is NaN and goes unchecked."""
+    the bound, bound_met, tight, the line of c >= m + 2 or of the bound
+    when it fails, and the _ladder_spans. When c < m + 2 the bound is NaN
+    and goes unchecked."""
     slack = c - m - 2
     if slack < 0:
-        return slack, math.nan, False, False, f"c >= m+2 violated: c={c} m={m}"
+        return slack, math.nan, False, False, f"c >= m+2 violated: c={c} m={m}", ()
     bound_sq = circumference_bound_squared(l, slack, m)
     line = None
     if c * c < bound_sq:
         line = f"bound violated: c^2={c * c} < {bound_sq} (l={l} slack={slack} m={m})"
-    return slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq, line
+    spans = _ladder_spans(m)
+    return slack, math.sqrt(bound_sq), c * c >= bound_sq, c * c == bound_sq, line, spans
 
 
-def _vine_checks(
-    g: Graph, l: int, c: int, vine: Vine, ladders: dict, ears: dict, counts: dict
-) -> tuple:
+def _vine_checks(g: Graph, l: int, c: int, vine: Vine, ladders: dict, counts: dict) -> tuple:
     """Every check of verify_vine_against, returned as the fields of its
     VineVerification in field order, the violations last. When c < m + 2
-    only that check runs. The three tables belong to one pass over vines
-    on one base path and are filled here: ladders is _ladder_cycle's, ears
-    maps an ear to its _ear_facts and counts an ear count to its
-    _count_checks."""
+    only that check runs. The two tables belong to one pass over vines on
+    one base path and are filled here: ladders is _ladder_cycle's, and
+    counts maps an ear count to its _count_checks."""
     m = len(vine.ears)
     fixed = counts.get(m)
     if fixed is None:
         counts[m] = fixed = _count_checks(l, c, m)
-    slack, bound, bound_met, tight, line = fixed
+    slack, bound, bound_met, tight, line, spans = fixed
     if slack < 0:
         # c >= m + 2 fails: everything downstream is meaningless
         return m, slack, bound, bound_met, tight, None, (), 0, (), None, (line,)
     violations = [] if line is None else [line]
-    pos = vine.base.positions
-    facts = [ears.get(ear) or ears.setdefault(ear, _ear_facts(pos, ear)) for ear in vine.ears]
-    xs, ys, lengths, inside = zip(*facts)
-    a, b = _segments(xs, ys, vine.base.length)
+    a, b = _segments(vine)
     # the other vine clauses hold already: q0's certification covers the ear
     # edges and the disjoint interiors, _segments the attachments, and the
     # chain's strict inequalities rule out an edge of the base path as an
     # ear. Only an ear interior vertex strictly inside a B segment escapes.
-    for i, v in enumerate(inside, start=1):
-        if v is not None:
+    on_path = vine.base.positions.keys()
+    lengths = []
+    for i, ear in enumerate(vine.ears, start=1):
+        vs = ear.vertices
+        lengths.append(len(vs) - 1)
+        if not on_path.isdisjoint(vs[1:-1]):
+            v = next(v for v in vs[1:-1] if v in on_path)
             violations.append(f"ear {i} interior vertex {v} lies on the base path")
     ineq1, ineq2 = None, []
     if m >= 2:
@@ -333,7 +323,6 @@ def _vine_checks(
             ineq2.append(Inequality2Verdict(j, lhs, rhs, weak_rhs, lhs <= rhs, lhs <= weak_rhs))
             if lhs > rhs:
                 violations.append(f"inequality (2) violated at j={j}: {lhs} > {rhs}")
-    spans = _ladder_spans(m)
     lens = [
         _ladder_cycle(g, vine, lengths, a, b, s, t, label, ladders).length
         for label, s, t in spans
@@ -418,15 +407,13 @@ def _vine_pass(
     g: Graph, l: int, c: int, vines: tuple[Vine, ...]
 ) -> tuple[VineVerification, list[str]]:
     """One pass verifies every vine, vine #0 included, on one base path
-    and three tables: certified ladders by ear slice, each ear's attachment
-    positions, length and first interior vertex on the path, and each ear
-    count's slack, bound, bound_met, tight and failing bound line. Returns
-    the verdict of vine #0, the report's vine, and every vine's violation
-    lines by index."""
+    and two tables: certified ladders by ear slice, and each ear count's
+    slack, bound, bound_met, tight, failing bound line and ladder spans.
+    Returns the verdict of vine #0, the report's vine, and every vine's
+    violation lines by index."""
     ladders: dict = {}
-    ears: dict = {}
     counts: dict = {}
-    checks = [_vine_checks(g, l, c, vine, ladders, ears, counts) for vine in vines]
+    checks = [_vine_checks(g, l, c, vine, ladders, counts) for vine in vines]
     return VineVerification(*checks[0]), [
         f"vine #{idx} (m={check[0]}): {v}" for idx, check in enumerate(checks) for v in check[-1]
     ]
@@ -450,7 +437,7 @@ def verify_all_longest_paths(
     idx = -1
     for idx, q in enumerate(all_longest_paths(g, l, limits)):
         if q != p:
-            lines = _vine_checks(g, l, c, find_min_vine(g, q), {}, {}, {})[-1]
+            lines = _vine_checks(g, l, c, find_min_vine(g, q), {}, {})[-1]
             violations += [f"longest path #{idx}: {v}" for v in lines]
     if idx < 0:
         raise InternalInvariantError(f"no path has length l={l}")

@@ -16,6 +16,7 @@ instances and chord_graph(instance) returns each one's graph and provenance.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from bisect import bisect_right
@@ -279,8 +280,9 @@ def fuzz_campaign(cfg: FuzzConfig) -> FuzzReport:
     run = partial(_run_instance, cfg=cfg)
     instances = enumerate(chord_instances(cfg))
     start = time.monotonic()
-    # the pool starts all its workers at once, so no more than there are instances
-    workers = min(cfg.jobs, cfg.count)
+    # the pool starts all its workers at once, so no more than there are
+    # instances or CPUs (the pool's own default)
+    workers = min(cfg.jobs, cfg.count, os.cpu_count() or 1)
     if workers > 1:
         # imported here, so a run with one job loads no process pool
         from concurrent.futures import ProcessPoolExecutor

@@ -393,30 +393,30 @@ def _subset_layers(neighbours, layer: list[int], without: list[int]):
         yield layer
 
 
-def _check_oracle_size(g: Graph, max_vertices: int) -> None:
-    if g.n > max_vertices:
-        raise PreconditionError(f"oracle capped at {max_vertices} vertices, got n={g.n}")
+def _check_oracle_size(g: Graph) -> None:
+    if g.n > ORACLE_MAX_VERTICES:
+        raise PreconditionError(f"oracle capped at {ORACLE_MAX_VERTICES} vertices, got n={g.n}")
     if g.n == 0:
         raise PreconditionError("oracle needs at least one vertex")
 
 
-def longest_path_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
+def longest_path_oracle(g: Graph) -> int:
     """Exact longest-path length by subset DP over (visited set, endpoint),
     one bit-parallel layer per path length.
 
     Intentionally disjoint from the branch-and-bound code path; used to
     cross-validate it on small instances.
     """
-    _check_oracle_size(g, max_vertices)
+    _check_oracle_size(g)
     single = [1 << (1 << w) for w in range(g.n)]
     return sum(1 for _ in _subset_layers(g.neighbors, single, _subsets_without(g.n)))
 
 
-def longest_cycle_oracle(g: Graph, max_vertices: int = ORACLE_MAX_VERTICES) -> int:
+def longest_cycle_oracle(g: Graph) -> int:
     """Exact circumference by subset DP rooted at each cycle's minimum
     vertex r, over the vertices above r; returns 0 when the graph has no
     cycle."""
-    _check_oracle_size(g, max_vertices)
+    _check_oracle_size(g)
     n = g.n
     without = _subsets_without(n - 1)
     best = 0

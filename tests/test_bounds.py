@@ -538,14 +538,14 @@ def test_a_ladder_table_hit_still_checks_the_formula_length():
         hits = [label for label, s, t in spans if vine.ears[s : t + 1] in ladders]
         if hits:
             break
-        bounds._vine_checks(g, l, c, vine, ladders, {}, {})
+        bounds._vine_checks(g, l, c, vine, ladders, {})
     else:
         pytest.fail("no two vines of K5 share a ladder")
-    assert bounds._vine_checks(g, l, c, vine, dict(ladders), {}, {})[-1] == ()
+    assert bounds._vine_checks(g, l, c, vine, dict(ladders), {})[-1] == ()
     longer = {key: Cycle(range(cycle.length + 1)) for key, cycle in ladders.items()}
     with pytest.raises(InternalInvariantError,
                        match=rf"^{hits[0]} length \d+ does not match the formula value \d+$"):
-        bounds._vine_checks(g, l, c, vine, longer, {}, {})
+        bounds._vine_checks(g, l, c, vine, longer, {})
 
 
 @pytest.mark.parametrize("broken", [0, 1])

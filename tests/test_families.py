@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import random
 
 import pytest
@@ -239,10 +240,11 @@ def test_fuzz_parallel_matches_sequential():
     assert strip(seq) == strip(par)
 
 
-def test_fuzz_pool_starts_no_more_workers_than_instances(monkeypatch):
-    from vinebound import families
-
-    started = []
+def _fake_pool(monkeypatch, cpus):
+    """Replace ProcessPoolExecutor with an in-process pool, on a machine with
+    the given number of CPUs; no process is started. Returns the lists of
+    the worker counts and the map chunk sizes the pool is given."""
+    started, given = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -255,13 +257,34 @@ def test_fuzz_pool_starts_no_more_workers_than_instances(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            given.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started, given
+
+
+def test_fuzz_pool_starts_no_more_workers_than_instances(monkeypatch):
+    started, _ = _fake_pool(monkeypatch, 64)
     cfg = FuzzConfig(count=3, n_min=4, n_max=6, seed=13, jobs=64)
     rep = fuzz_campaign(cfg)
     assert started == [3]
     assert [r.index for r in rep.records] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, [4]), (None, [])])
+def test_fuzz_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus, workers):
+    # the pool forks all its workers on the first submit, so --jobs 5000
+    # must not ask for 5000 of them; an unknown CPU count means one,
+    # which runs the campaign in this process
+    started, _ = _fake_pool(monkeypatch, cpus)
+    seq = fuzz_campaign(FuzzConfig(count=12, n_min=4, n_max=6, seed=13))
+    rep = fuzz_campaign(FuzzConfig(count=12, n_min=4, n_max=6, seed=13, jobs=5000))
+    assert started == workers
+    assert [(r.index, r.violations) for r in rep.records] == [
+        (r.index, r.violations) for r in seq.records
+    ]
 
 
 @pytest.mark.parametrize("count, chunksize", [(8, 1), (500, 63)])
@@ -270,23 +293,10 @@ def test_fuzz_pool_chunks_spread_over_every_worker(monkeypatch, count, chunksize
     # go one at a time rather than all to the first worker
     from vinebound import families
 
-    given = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            given.append(chunksize)
-            return (families.InstanceRecord(i, {}, (), None) for i, _ in items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    _, given = _fake_pool(monkeypatch, 2)
+    # the records, not the instances: 500 of them would take seconds
+    monkeypatch.setattr(families, "_run_instance",
+                        lambda item, cfg: families.InstanceRecord(item[0], {}, (), None))
     rep = fuzz_campaign(FuzzConfig(count=count, n_min=4, n_max=6, seed=13, jobs=2))
     assert given == [chunksize]
     assert [r.index for r in rep.records] == list(range(count))

@@ -3,7 +3,9 @@ import pickle
 import pytest
 
 from vinebound import (
+    Cycle,
     CycleValidationError,
+    Ear,
     Graph,
     GraphParseError,
     NotTwoConnectedError,
@@ -138,6 +140,19 @@ def test_graph_rejects_loops_and_range():
         Graph(-1)
 
 
+@pytest.mark.parametrize("make, vertices, message", [
+    (Path, (), "a path needs at least one vertex"),
+    (Path, (0, 0), "path vertices must be distinct"),
+    (Cycle, (0, 1), "a cycle needs at least three vertices"),
+    (Cycle, (0, 1, 0), "cycle vertices must be distinct"),
+    (Ear, (0,), "an ear needs at least two vertices"),
+    (Ear, (0, 1, 0), "ear vertices must be distinct"),
+])
+def test_vertex_sequences_reject_short_or_repeated_input(make, vertices, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(vertices)
+
+
 def test_graph_normalizes_edges():
     g = Graph(3, [(2, 0), (0, 2), (1, 0)])
     assert g.edges == frozenset({(0, 2), (0, 1)})
@@ -164,6 +179,8 @@ def test_small_and_disconnected_not_two_connected():
     assert not is_two_connected(Graph(2, [(0, 1)]))
     assert not is_two_connected(Graph(4, [(0, 1), (2, 3)]))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+    # vacuously connected: no vertex, or one
+    assert is_connected(Graph(0)) and is_connected(Graph(1))
 
 
 def test_require_two_connected_names_vertex():

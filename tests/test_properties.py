@@ -260,9 +260,10 @@ def oracle_graphs(draw):
     return Graph(n, draw(st.sets(pairs, max_size=n * 3)))
 
 
-def _assert_oracles_match_reference(g, max_vertices=16):
-    assert longest_path_oracle(g, max_vertices) == reference_longest_path_oracle(g, max_vertices)
-    assert longest_cycle_oracle(g, max_vertices) == reference_longest_cycle_oracle(g, max_vertices)
+def _assert_oracles_match_reference(g):
+    cap = solvers.ORACLE_MAX_VERTICES
+    assert longest_path_oracle(g) == reference_longest_path_oracle(g, cap)
+    assert longest_cycle_oracle(g) == reference_longest_cycle_oracle(g, cap)
 
 
 @given(oracle_graphs())
@@ -287,13 +288,14 @@ def test_oracles_match_per_subset_reference_cases(g, l, c):
     assert (longest_path_oracle(g), longest_cycle_oracle(g)) == (l, c)
 
 
-def test_oracles_match_per_subset_reference_at_17_vertices():
+def test_oracles_match_per_subset_reference_at_17_vertices(monkeypatch):
     # the path 0..16 with the chord 0-8: one path through all 17 vertices,
     # and the only cycle is 0..8
     g = Graph(17, [(i, i + 1) for i in range(16)] + [(0, 8)])
-    _assert_oracles_match_reference(g, max_vertices=17)
-    assert longest_path_oracle(g, max_vertices=17) == 16
-    assert longest_cycle_oracle(g, max_vertices=17) == 9
+    monkeypatch.setattr(solvers, "ORACLE_MAX_VERTICES", 17)
+    _assert_oracles_match_reference(g)
+    assert longest_path_oracle(g) == 16
+    assert longest_cycle_oracle(g) == 9
 
 
 def _certify_outcome(certify, g, vs):

@@ -91,11 +91,15 @@ def test_oracles_on_fixtures(k4, c5, theta):
     assert longest_cycle_oracle(c5) == 5
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
     g = cycle_graph(17)
     with pytest.raises(PreconditionError):
         longest_path_oracle(g)
-    assert longest_path_oracle(g, max_vertices=17) == 16
+    monkeypatch.setattr(solvers, "ORACLE_MAX_VERTICES", 17)
+    assert longest_path_oracle(g) == 16
+    for oracle in (longest_path_oracle, longest_cycle_oracle):
+        with pytest.raises(PreconditionError, match="^oracle needs at least one vertex$"):
+            oracle(Graph(0))
 
 
 def test_oracle_no_cycle_returns_zero():

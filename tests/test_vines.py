@@ -6,6 +6,7 @@ from vinebound import (
     Ear,
     EarCapError,
     Graph,
+    Path,
     PreconditionError,
     Vine,
     VineSearchCapError,
@@ -148,6 +149,9 @@ def test_verify_vine_rejects_non_path_ear(x2):
     verdict = verify_vine(x2, Vine(p, [Ear((0, 6))]))  # 0-6 is not an edge
     assert not verdict.ok
     assert verdict.clause == "ear"
+    # the base path is checked first, then that there is an ear at all
+    assert verify_vine(x2, Vine(Path((0, 6)), [Ear((0, 1, 6))])).clause == "base"
+    assert verify_vine(x2, Vine(p, [])).clause == "empty"
 
 
 def test_bare_path_edge_unusable_anywhere(x2):
@@ -242,6 +246,8 @@ def test_enumerate_vines_truncation(k4):
     p = validate_path(k4, [0, 1, 2, 3])
     enum = enumerate_vines(k4, p, max_count=1)
     assert enum.truncated and len(enum.vines) == 1
+    with pytest.raises(PreconditionError, match="^max_count must be positive$"):
+        enumerate_vines(k4, p, max_count=0)
 
 
 def test_vine_cap_past_the_state_cap_reads_as_the_state_cap(x2):
