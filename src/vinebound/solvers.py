@@ -27,10 +27,13 @@ Two independent method families live here on purpose:
   from the current end that have two neighbours in H, the reach plus the
   end (plus the root, for a cycle, joined to those neighbours it may still
   close through): every interior vertex of an extension needs two, and
-  only the last vertex of a path may have one. When a vertex is its
-  parent's only way on, it takes the parent's reach less itself and runs
-  no search of its own; that reach and its two-neighbour vertices are
-  exactly what a fresh search would find.
+  only the last vertex of a path may have one. Siblings share one reach:
+  a node v's reach is its component C of G - visited less v, and each
+  w in C has component C too, so w has v's H (C, plus the root with the
+  same closers) and v's two masks, bit for bit. So each frame keeps the
+  last component a child searched, and a child in it, like a parent's
+  only way on, takes that component less itself and runs no search. The
+  root's children set their own closers, so they neither keep nor take.
   The reach grows a run at a time: a run is a maximal connected set of
   vertices with exactly two neighbours each, and one that holds no blocked
   vertex joins whole, its neighbour counts added by one saturating add;
@@ -200,19 +203,20 @@ def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
     best_len = 0 if l is None else l - 1
     # One frame per vertex of seq, plus a bottom frame whose candidates are
     # the start vertices: todo holds the bitmask of neighbours still to try,
-    # taken lowest first, and forced the (reach, twos) of the frame's vertex
-    # when it has exactly one candidate, else None. A candidate v joins seq
-    # and visited, the bits of seq, only when the search expands it, so
-    # every pop from seq clears its bit.
+    # taken lowest first, and shared the (component, twos) a child last
+    # searched, (0, 0) before any, or with one candidate its vertex's
+    # (reach, twos). A connected graph's start vertices share one component.
+    # A candidate v joins seq and visited, the bits of seq, only when the
+    # search expands it, so every pop from seq clears its bit.
     seq: list[int] = []
     todo = [(1 << n) - 1]
     visited = 0
-    forced: list[tuple[int, int] | None] = [None]
+    shared = [(0, 0)]
     while todo:
         cand = todo[-1]
         if not cand:
             todo.pop()
-            forced.pop()
+            shared.pop()
             if seq:
                 visited ^= 1 << seq.pop()
             continue
@@ -235,13 +239,12 @@ def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
         if best_len == n - 1:
             # nothing is longer, so the bound below would prune too
             continue
-        if forced[-1] is None:
-            reach, twos = _reach(adj, runs, v, visited | low, adj[v], 0)
+        region, twos = shared[-1]
+        if region & low:
+            reach = region ^ low
         else:
-            # v is its parent's only way on: v's reach is the parent's
-            # less v, and among those only v lost a neighbour
-            reach, twos = forced[-1]
-            reach ^= low
+            reach, twos = _reach(adj, runs, v, visited | low, adj[v], 0)
+            shared[-1] = (reach | low, twos)
         inner = reach & twos
         # a path from v runs through vertices with two neighbours in
         # reach + v and ends in at most one vertex with fewer
@@ -251,7 +254,7 @@ def _paths(g: Graph, limits: SolveLimits, l: int | None) -> Iterator[list[int]]:
         seq.append(v)
         cand = adj[v] & ~visited
         todo.append(cand)
-        forced.append(None if cand & (cand - 1) else (reach, twos))
+        shared.append((0, 0) if cand & (cand - 1) else (reach, twos))
 
 
 def longest_path(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Path:
@@ -307,17 +310,18 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 continue
             # Frames as in longest_path; the bottom frame holds the root
             # alone, and visited also blocks the vertices below the root, so
-            # each cycle is found from its smallest vertex only.
+            # each cycle is found from its smallest vertex only. The root's
+            # children set their own closers, so they keep no shared entry.
             seq: list[int] = []
             todo = [rootbit]
             visited = rootbit - 1
-            forced: list[tuple[int, int] | None] = [None]
+            shared = [(0, 0)]
             dominance: dict[tuple[int, int], int] = {}
             while todo:
                 cand = todo[-1]
                 if not cand:
                     todo.pop()
-                    forced.pop()
+                    shared.pop()
                     if seq:
                         visited ^= 1 << seq.pop()
                     continue
@@ -334,13 +338,15 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 elif count > best_len and closers & low:
                     best_len = count
                     best_seq = [*seq, v]
-                if forced[-1] is not None:
-                    reach, twos = forced[-1]
-                    reach ^= low
+                region, twos = shared[-1]
+                if region & low:
+                    reach = region ^ low
                 elif v == root:
                     reach, twos = _reach(adj, runs, v, visited | low, root_adj, 0)
                 else:
                     reach, twos = _reach(adj, runs, v, visited | low, adj[v] | closers, adj[v] & closers)
+                    if count != 2:
+                        shared[-1] = (reach | low, twos)
                 # the way back from v to the root ends in a closer and runs
                 # through vertices with two neighbours in reach + v + root; an
                 # earlier node at this key with as many vertices found it all
@@ -354,7 +360,7 @@ def longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> Cycle:
                 seq.append(v)
                 cand = adj[v] & ~visited
                 todo.append(cand)
-                forced.append(None if cand & (cand - 1) else (reach, twos))
+                shared.append((0, 0) if cand & (cand - 1) else (reach, twos))
     except _BudgetHit as hit:
         incumbent = validate_cycle(g, best_seq) if best_seq is not None else None
         raise SolveBudgetError(

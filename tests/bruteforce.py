@@ -486,6 +486,11 @@ def reference_longest_cycle(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> C
 
     Tie-break: the canonical rotation/reflection starting at the smallest
     vertex, then lexicographically smallest.
+
+    Only a parent's only way on reuses the parent's reach here, where the
+    solver also shares one reach among siblings: the narrower rule is kept
+    on purpose, so that this search shares none of the solver's sharing
+    logic.
     """
     failure = g.two_connectivity_failure
     if failure is not None:

@@ -224,6 +224,29 @@ def test_reach_by_runs_matches_plain_bfs(params):
     assert _reach(adj, _runs(adj), v, blocked, ones, twos) == reference_reach(adj, v, blocked, ones, twos)
 
 
+@given(reach_calls(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_reach_is_shared_across_its_component(params, cycle_mode):
+    # the solvers' sibling rule: v's reach r is its component of G - B less
+    # v, and every w in r has the same component and the same two-neighbour
+    # mask, with the same closer mask K (0 in a path search)
+    g, v, blocked, ones, _ = params
+    adj = g.adjacency_bits
+    runs = _runs(adj)
+    blocked &= ~(1 << v)
+    closers = ones & ~blocked if cycle_mode else 0
+    reach, twos = _reach(adj, runs, v, blocked | 1 << v, adj[v] | closers, adj[v] & closers)
+    rest = reach
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        shared = ((reach | 1 << v) ^ low, twos)
+        seeds = (adj[w] | closers, adj[w] & closers)
+        assert _reach(adj, runs, w, blocked | low, *seeds) == shared
+        assert reference_reach(adj, w, blocked | low, *seeds) == shared
+
+
 def test_reach_by_runs_matches_plain_bfs_in_both_searches(monkeypatch):
     # every call the two solvers make on the m = 20 grid graph
     calls = []

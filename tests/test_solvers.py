@@ -328,6 +328,42 @@ def test_pool_node_totals_are_pinned(monkeypatch):
     }
 
 
+def test_pool_reach_calls_are_pinned(monkeypatch):
+    # the reach searches the solvers run over the pools above and the m = 20
+    # grid listing: a node whose component a sibling already searched, or
+    # that is its parent's only way on, runs none, so a lost share raises one
+    calls = []
+    reach = solvers._reach
+
+    def counted(*args):
+        calls.append(None)
+        return reach(*args)
+
+    monkeypatch.setattr(solvers, "_reach", counted)
+    dense = [FuzzConfig(10, 18, 22, seed, extra_min=30, extra_max=40) for seed in range(7, 13)]
+    pools = {
+        "fuzz7": [chord_graph(i)[0] for i in chord_instances(FuzzConfig(500, 4, 12, 7))],
+        "dense": [chord_graph(i)[0] for cfg in dense for i in chord_instances(cfg)],
+        "grid": _extremal_grid(),
+    }
+    totals = {}
+    for name, graphs in pools.items():
+        for solve in (longest_path, longest_cycle):
+            calls.clear()
+            for g in graphs:
+                solve(g)
+            totals[name, solve.__name__] = len(calls)
+    calls.clear()
+    assert len(list(all_longest_paths(extremal_graph(ExtremalSpec(20, 2))[0], 142))) == 4
+    totals["listing"] = len(calls)
+    assert totals == {
+        ("fuzz7", "longest_path"): 3_134, ("fuzz7", "longest_cycle"): 4_430,
+        ("dense", "longest_path"): 3_278, ("dense", "longest_cycle"): 4_181,
+        ("grid", "longest_path"): 456, ("grid", "longest_cycle"): 10_641,
+        "listing": 1_150,
+    }
+
+
 @pytest.mark.parametrize("cap", [1, 2])
 def test_dominance_table_cap_only_loses_prunes(monkeypatch, cap):
     graphs = _extremal_grid((0, 2, 4))
